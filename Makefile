@@ -4,7 +4,7 @@ GO ?= go
 # pipeline.
 BENCHTIME ?= 1s
 
-.PHONY: build test race vet check bench-json bench-smoke bench-diff bench-save obs-smoke daemon-smoke chaos-smoke flight-smoke service-bench
+.PHONY: build test race vet fmt-check check bench-json bench-smoke bench-diff bench-save obs-smoke daemon-smoke chaos-smoke flight-smoke service-bench
 
 build:
 	$(GO) build ./...
@@ -18,8 +18,13 @@ race:
 vet:
 	$(GO) vet ./...
 
+# Fail when any tracked Go file is not gofmt-formatted; lists the offenders.
+fmt-check:
+	@out="$$(gofmt -l $$(git ls-files '*.go'))"; \
+	if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
+
 # The standard pre-commit check.
-check: vet race
+check: fmt-check vet race
 
 # Machine-readable benchmark trajectory: run the decoder and sim benchmarks
 # and emit BENCH_decoder.json (ns/op, B/op, allocs/op per benchmark).

@@ -1,6 +1,7 @@
 package batch
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 
@@ -52,35 +53,7 @@ type Engine struct {
 	synByLane    [Lanes][]int
 	erasedByLane [Lanes][]int32
 	laneErased   []bool
-	peel         *peeler
-	pgs          [2]packedGraph
 	scratch      *decoder.Scratch
-}
-
-// packedGraph caches one decoding graph's dense edge list in flat arrays so
-// the packed folds and the per-lane peels skip the Edge struct round trip on
-// every access.
-type packedGraph struct {
-	dg      *surfacecode.DecodingGraph
-	u, v    []int32 // dense edge index -> endpoints
-	id      []int32 // dense edge index -> data qubit id
-	numReal int
-}
-
-func newPackedGraph(dg *surfacecode.DecodingGraph) packedGraph {
-	nE := dg.G.NumEdges()
-	pg := packedGraph{
-		dg:      dg,
-		u:       make([]int32, nE),
-		v:       make([]int32, nE),
-		id:      make([]int32, nE),
-		numReal: dg.NumReal,
-	}
-	for ei := 0; ei < nE; ei++ {
-		ed := dg.G.Edge(ei)
-		pg.u[ei], pg.v[ei], pg.id[ei] = int32(ed.U), int32(ed.V), int32(ed.ID)
-	}
-	return pg
 }
 
 // NewEngine builds a packed engine for code under noise model nm, decoding
@@ -107,23 +80,15 @@ func NewEngine(code *surfacecode.Code, nm *surfacecode.NoiseModel, dec decoder.D
 	if err != nil {
 		return nil, err
 	}
-	nv := code.Graph(surfacecode.ZGraph).G.NumVertices()
-	if x := code.Graph(surfacecode.XGraph).G.NumVertices(); x > nv {
-		nv = x
-	}
-	e := &Engine{
+	return &Engine{
 		code:       code,
 		dec:        sd,
 		sampler:    sampler,
 		probs:      nm.EdgeErrorProb(),
 		planes:     NewPlanes(n),
 		laneErased: make([]bool, n),
-		peel:       newPeeler(nv),
 		scratch:    decoder.NewScratch(),
-	}
-	e.pgs[0] = newPackedGraph(code.Graph(surfacecode.ZGraph))
-	e.pgs[1] = newPackedGraph(code.Graph(surfacecode.XGraph))
-	return e, nil
+	}, nil
 }
 
 // Planes exposes the engine's bit planes for the batch sampled by the last
@@ -173,24 +138,12 @@ func (e *Engine) Run(src *rng.Source, lanes int) (failed uint64, stats Stats, er
 // lanes, mirroring the residual-syndrome check of the scalar pipeline.
 func (e *Engine) decodeGraph(kind surfacecode.GraphKind, resid []uint64, lanes int, stats *Stats) error {
 	dg := e.code.Graph(kind)
-	pg := &e.pgs[kind-surfacecode.ZGraph]
 	nv := dg.NumReal
-	nE := len(pg.id)
 	active := LaneMask(lanes)
 
 	// Packed syndrome extraction: one XOR-fold over the edges covers all 64
-	// lanes. Dense edge index ei is the data-qubit id (edges are added in
-	// qubit order), so resid indexes directly.
-	par := growWords(e.parity, nv)
-	for ei := 0; ei < nE; ei++ {
-		w := resid[pg.id[ei]]
-		if u := int(pg.u[ei]); u < nv {
-			par[u] ^= w
-		}
-		if v := int(pg.v[ei]); v < nv {
-			par[v] ^= w
-		}
-	}
+	// lanes. Edge q is data qubit q, so resid indexes by edge directly.
+	par := foldParity(growWords(e.parity, nv), dg, resid)
 	e.parity = par
 
 	// Transpose to per-lane syndrome lists in ascending vertex order — the
@@ -207,18 +160,18 @@ func (e *Engine) decodeGraph(kind surfacecode.GraphKind, resid []uint64, lanes i
 			e.synByLane[l] = append(e.synByLane[l], v)
 		}
 	}
-	// Per-lane erased edge lists in ascending dense-index order — exactly
-	// the order growClusters pre-grows erasures, so a fast-path peel sees a
+	// Per-lane erased edge lists in ascending edge order — exactly the
+	// order growClusters pre-grows erasures, so a fast-path peel sees a
 	// byte-identical support.
 	for l := 0; l < lanes; l++ {
 		e.erasedByLane[l] = e.erasedByLane[l][:0]
 	}
-	for ei := 0; ei < nE; ei++ {
-		w := e.planes.Erase[pg.id[ei]] & active
+	for q, w := range e.planes.Erase {
+		w &= active
 		for w != 0 {
 			l := bits.TrailingZeros64(w)
 			w &= w - 1
-			e.erasedByLane[l] = append(e.erasedByLane[l], int32(ei))
+			e.erasedByLane[l] = append(e.erasedByLane[l], int32(q))
 		}
 	}
 
@@ -233,34 +186,36 @@ func (e *Engine) decodeGraph(kind surfacecode.GraphKind, resid []uint64, lanes i
 		}
 		laneBit := uint64(1) << uint(l)
 
-		// Fast path: peel the erased support with the version-stamped
-		// packed peeler — O(|support|) per lane, no per-lane clearing. It
-		// refuses exactly when growClusters would have grown beyond the
-		// erasures (the cluster invariant fails); the lane then falls back
-		// to the scalar decoder verbatim, which is the only point where
-		// the dense per-qubit erasure mask is materialized.
-		corr, ok := e.peel.peelLane(pg, e.erasedByLane[l], syn)
-		if ok {
+		// Fast path: peel the erased support alone — O(|support|) per
+		// lane on the decoder's version-stamped peeler. It refuses exactly
+		// when growClusters would have grown beyond the erasures (the
+		// cluster invariant fails); the lane then falls back to the
+		// scalar decoder verbatim, which is the only point where the
+		// dense per-qubit erasure mask is materialized.
+		in := decoder.Input{
+			Graph:     dg,
+			Syndromes: syn,
+			Erased:    e.laneErased,
+			ErrorProb: e.probs,
+		}
+		corr, err := decoder.PeelErasure(in, e.erasedByLane[l], e.scratch)
+		switch {
+		case err == nil:
 			stats.FastLanes++
-		} else {
+		case errors.Is(err, decoder.ErrClusterInvariant):
 			stats.FallbackLanes++
-			for _, ei := range e.erasedByLane[l] {
-				e.laneErased[pg.id[ei]] = true
+			for _, q := range e.erasedByLane[l] {
+				e.laneErased[q] = true
 			}
-			in := decoder.Input{
-				Graph:     dg,
-				Syndromes: syn,
-				Erased:    e.laneErased,
-				ErrorProb: e.probs,
-			}
-			var err error
 			corr, err = e.dec.DecodeWith(in, e.scratch)
-			for _, ei := range e.erasedByLane[l] {
-				e.laneErased[pg.id[ei]] = false
+			for _, q := range e.erasedByLane[l] {
+				e.laneErased[q] = false
 			}
 			if err != nil {
 				return fmt.Errorf("batch: lane %d %v-graph fallback decode: %w", l, kind, err)
 			}
+		default:
+			return fmt.Errorf("batch: lane %d %v-graph peel: %w", l, kind, err)
 		}
 		for _, q := range corr {
 			resid[q] ^= laneBit
@@ -270,18 +225,8 @@ func (e *Engine) decodeGraph(kind surfacecode.GraphKind, resid []uint64, lanes i
 	// Packed verification, the analogue of the scalar pipeline's residual
 	// syndrome check: the corrected planes must be syndrome-free on every
 	// active lane.
-	for v := range par {
-		par[v] = 0
-	}
-	for ei := 0; ei < nE; ei++ {
-		w := resid[pg.id[ei]]
-		if u := int(pg.u[ei]); u < nv {
-			par[u] ^= w
-		}
-		if v := int(pg.v[ei]); v < nv {
-			par[v] ^= w
-		}
-	}
+	clear(par)
+	foldParity(par, dg, resid)
 	for v := 0; v < nv; v++ {
 		if left := par[v] & active; left != 0 {
 			return fmt.Errorf("batch: decoder %s left a %v-graph syndrome at vertex %d on lane %d",
@@ -289,4 +234,20 @@ func (e *Engine) decodeGraph(kind surfacecode.GraphKind, resid []uint64, lanes i
 		}
 	}
 	return nil
+}
+
+// foldParity XORs every edge's resid word into its real endpoints' words of
+// par (len(par) == dg.NumReal) and returns par.
+func foldParity(par []uint64, dg *surfacecode.DecodingGraph, resid []uint64) []uint64 {
+	nv := int32(len(par))
+	for q, ends := range dg.Endpoints {
+		w := resid[q]
+		if u := ends[0]; u < nv {
+			par[u] ^= w
+		}
+		if v := ends[1]; v < nv {
+			par[v] ^= w
+		}
+	}
+	return par
 }

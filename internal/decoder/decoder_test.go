@@ -257,7 +257,7 @@ func TestPeelDetectsBadSupport(t *testing.T) {
 	f[qa] = quantum.X
 	syn := c.Syndrome(surfacecode.ZGraph, f)[:1]
 	in := uniformInput(c, surfacecode.ZGraph, syn, nil, 0.05)
-	if _, err := peel(in, nil, nil); err == nil {
+	if _, err := peel(in, []int(nil), nil); err == nil {
 		t.Fatal("peel should reject support violating the cluster invariant")
 	}
 }

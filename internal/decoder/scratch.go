@@ -25,15 +25,9 @@ type Scratch struct {
 	support   []int
 	completed []int
 
-	// Peeling (peeling.go).
-	forestUF   *graph.UnionFind
-	adj        [][]int32
-	synMask    []bool
-	visited    []bool
-	parentEdge []int32
-	order      []int
-	queue      []int
-	corr       []int
+	// Peeling (peeling.go): version-stamped, so a call costs
+	// O(|support| + |syndromes|) rather than O(graph).
+	peel peeler
 
 	// Frame harness (decoder.go).
 	parity   []bool
@@ -129,21 +123,6 @@ func ufFor(uf *graph.UnionFind, n int) *graph.UnionFind {
 	}
 	uf.Reset(n)
 	return uf
-}
-
-// adjFor returns a length-nv adjacency scratch with every per-vertex list
-// emptied but its capacity kept.
-func (s *Scratch) adjFor(nv int) [][]int32 {
-	if cap(s.adj) < nv {
-		old := s.adj
-		s.adj = make([][]int32, nv)
-		copy(s.adj, old)
-	}
-	s.adj = s.adj[:nv]
-	for v := range s.adj {
-		s.adj[v] = s.adj[v][:0]
-	}
-	return s.adj
 }
 
 // syndrome computes the flipped-parity real vertices of the kind graph for

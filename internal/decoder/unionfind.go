@@ -34,6 +34,9 @@ func (UnionFind) DecodeWith(in Input, s *Scratch) ([]int, error) {
 	if len(in.Syndromes) == 0 {
 		return nil, nil
 	}
+	if s == nil {
+		s = NewScratch()
+	}
 	support, err := growClusters(in, growthConfig{
 		speed:           func(Input, int) float64 { return 0.5 },
 		preGrowErasures: true,
@@ -90,6 +93,9 @@ func (d SurfNet) DecodeWith(in Input, s *Scratch) ([]int, error) {
 	r := d.StepSize
 	if r == 0 {
 		r = DefaultStepSize
+	}
+	if s == nil {
+		s = NewScratch()
 	}
 	support, err := growClusters(in, growthConfig{
 		speed: func(in Input, q int) float64 {

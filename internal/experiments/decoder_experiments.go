@@ -145,17 +145,18 @@ func logicalRate(ctx context.Context, code *surfacecode.Code, dec decoder.Decode
 	nm := surfacecode.UniformNoise(code, pauli, erasure)
 	probs := nm.EdgeErrorProb()
 	// The probs vector is fixed for the whole cell, so one epoch tag lets
-	// the MWPM cache skip the per-decode fidelity-vector hash. Worker
-	// arenas are reused across cells (with different probs), so the tag is
-	// re-installed on every trial.
+	// the MWPM cache skip the per-decode fidelity-vector hash. sim.Run
+	// builds its workers per call, so an arena lives for this cell only and
+	// takes the tag once, when it is built.
 	epoch := decoder.NewProbsEpoch()
 	root := rng.New(seed).Split(fmt.Sprintf("fig8/%s/%d/%.4f", dec.Name(), code.Distance(), pauli))
 	failed, err := sim.Run(ctx, trials, workers,
 		func(i int, w *sim.Worker) (bool, error) {
 			sc := sim.Scratch(w, "fig8", func() *fig8Scratch {
-				return &fig8Scratch{dec: decoder.NewScratch()}
+				sc := &fig8Scratch{dec: decoder.NewScratch()}
+				sc.dec.SetProbsEpoch(epoch)
+				return sc
 			})
-			sc.dec.SetProbsEpoch(epoch)
 			sc.frame, sc.erased = nm.SampleInto(root.SplitN("t", i), sc.frame, sc.erased)
 			res, _, err := decoder.DecodeFrameWith(code, dec, sc.frame, sc.erased, probs, reg, sc.dec)
 			if err != nil {
@@ -176,12 +177,12 @@ func logicalRate(ctx context.Context, code *surfacecode.Code, dec decoder.Decode
 	return float64(fails) / float64(trials), nil
 }
 
-// batchScratch is the per-worker arena of the packed threshold study: one
-// batch.Engine per (decoder, distance, rate) cell, rebuilt when the worker
-// crosses into a new cell (arenas outlive cells).
+// batchScratch is the per-worker arena of the packed threshold study: the
+// cell's batch.Engine, or the error building it. sim.RunBatch builds its
+// workers per call, so an arena lives for one cell.
 type batchScratch struct {
 	eng *batch.Engine
-	key string
+	err error
 }
 
 // batchLogicalRate is logicalRate on the packed 64-lane engine: each
@@ -191,16 +192,14 @@ type batchScratch struct {
 func batchLogicalRate(ctx context.Context, code *surfacecode.Code, dec decoder.Decoder, pauli, erasure float64, trials, workers int, seed uint64, reg *telemetry.Registry) (float64, error) {
 	nm := surfacecode.UniformNoise(code, pauli, erasure)
 	root := rng.New(seed).Split(fmt.Sprintf("fig8/%s/%d/%.4f", dec.Name(), code.Distance(), pauli))
-	key := fmt.Sprintf("%s/%d/%.4f/%.4f", dec.Name(), code.Distance(), pauli, erasure)
 	failed, err := sim.RunBatch(ctx, trials, batch.Lanes, workers,
 		func(b sim.Batch, w *sim.Worker) ([]bool, error) {
-			sc := sim.Scratch(w, "fig8batch", func() *batchScratch { return &batchScratch{} })
-			if sc.key != key {
+			sc := sim.Scratch(w, "fig8batch", func() *batchScratch {
 				eng, err := batch.NewEngine(code, nm, dec)
-				if err != nil {
-					return nil, fmt.Errorf("experiments: building packed engine for d=%d p=%v: %w", code.Distance(), pauli, err)
-				}
-				sc.eng, sc.key = eng, key
+				return &batchScratch{eng: eng, err: err}
+			})
+			if sc.err != nil {
+				return nil, fmt.Errorf("experiments: building packed engine for d=%d p=%v: %w", code.Distance(), pauli, sc.err)
 			}
 			mask, stats, err := sc.eng.Run(root.SplitN("batch", b.Index), b.Len)
 			if err != nil {

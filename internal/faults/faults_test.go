@@ -180,7 +180,7 @@ func TestDriftDecaysAndRecovers(t *testing.T) {
 
 func TestScriptedTimetable(t *testing.T) {
 	inj := NewScripted([]ScriptedFault{
-		{Slot: 5, Duration: 3, ID: 1},            // fiber 1 down slots 5-7
+		{Slot: 5, Duration: 3, ID: 1},             // fiber 1 down slots 5-7
 		{Slot: 2, Duration: 4, Node: true, ID: 2}, // node 2 down slots 2-5
 	})
 	src := rng.New(1)

@@ -219,21 +219,6 @@ func (sp *ShortestPaths) PathTo(g *Weighted, dst int) []int {
 	return rev
 }
 
-// SpanningForest returns, for the subgraph induced by the given dense edge
-// indices, a subset of those indices forming a spanning forest (one spanning
-// tree per connected component). Used by the peeling decoder.
-func (g *Weighted) SpanningForest(edgeIdx []int) []int {
-	uf := NewUnionFind(g.n)
-	var forest []int
-	for _, ei := range edgeIdx {
-		e := g.edges[ei]
-		if _, merged := uf.Union(e.U, e.V); merged {
-			forest = append(forest, ei)
-		}
-	}
-	return forest
-}
-
 // ConnectedComponents labels every vertex with a component id in [0, k) and
 // returns the labels and k, considering only the given edges. Vertices
 // untouched by any edge form singleton components.

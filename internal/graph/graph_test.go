@@ -203,42 +203,6 @@ func TestDijkstraPathConsistency(t *testing.T) {
 	}
 }
 
-func TestSpanningForest(t *testing.T) {
-	g := grid(3, 3)
-	all := make([]int, g.NumEdges())
-	for i := range all {
-		all[i] = i
-	}
-	forest := g.SpanningForest(all)
-	// A connected graph on 9 vertices has a spanning tree of 8 edges.
-	if len(forest) != 8 {
-		t.Fatalf("spanning forest size = %d, want 8", len(forest))
-	}
-	// The forest must be acyclic and span: re-running union-find confirms.
-	uf := NewUnionFind(9)
-	for _, ei := range forest {
-		e := g.Edge(ei)
-		if _, merged := uf.Union(e.U, e.V); !merged {
-			t.Fatal("forest contains a cycle")
-		}
-	}
-	if uf.Count() != 1 {
-		t.Fatalf("forest does not span: %d components", uf.Count())
-	}
-}
-
-func TestSpanningForestDisconnected(t *testing.T) {
-	g := NewWeighted(6)
-	e1 := g.AddEdge(Edge{U: 0, V: 1, Weight: 1})
-	e2 := g.AddEdge(Edge{U: 1, V: 2, Weight: 1})
-	e3 := g.AddEdge(Edge{U: 0, V: 2, Weight: 1}) // cycle closer
-	e4 := g.AddEdge(Edge{U: 3, V: 4, Weight: 1})
-	forest := g.SpanningForest([]int{e1, e2, e3, e4})
-	if len(forest) != 3 {
-		t.Fatalf("forest size = %d, want 3 (two trees)", len(forest))
-	}
-}
-
 func TestConnectedComponents(t *testing.T) {
 	g := NewWeighted(5)
 	e1 := g.AddEdge(Edge{U: 0, V: 1, Weight: 1})

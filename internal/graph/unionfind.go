@@ -1,6 +1,6 @@
 // Package graph provides the graph primitives shared by the decoders and the
-// routing layer: a weighted union-find, Dijkstra shortest paths on weighted
-// adjacency structures, and spanning forests.
+// routing layer: a union-find, Dijkstra shortest paths on weighted adjacency
+// structures, and connected components.
 package graph
 
 // UnionFind is a disjoint-set forest with union by rank and path compression.

@@ -54,8 +54,9 @@ func (k GraphKind) String() string {
 
 // DecodingGraph is one of the two syndrome graphs of a code: each vertex is a
 // measurement qubit and each edge is a data qubit (§IV-C). Real measurement
-// vertices are [0, NumReal); two virtual boundary vertices follow. Edge IDs
-// in G are data-qubit indices.
+// vertices are [0, NumReal); two virtual boundary vertices follow. Edges are
+// added in data-qubit order, so dense edge index q of G is data qubit q
+// (G.Edge(q).ID == q).
 type DecodingGraph struct {
 	Kind    GraphKind
 	G       *graph.Weighted
@@ -64,6 +65,21 @@ type DecodingGraph struct {
 	// syndrome-free residual error is a logical operator exactly when it
 	// overlaps the cut an odd number of times.
 	CutQubits []int
+	// Endpoints[q] holds the two vertices of edge q: a flat copy of G's
+	// edge list for the hot loops (packed syndrome folds, peeling) that
+	// would otherwise copy a graph.Edge per access.
+	Endpoints [][2]int32
+}
+
+// newDecodingGraph wraps g, whose edge q must be data qubit q, and fills
+// the flat endpoint table.
+func newDecodingGraph(kind GraphKind, g *graph.Weighted, numReal int, cut []int) *DecodingGraph {
+	ends := make([][2]int32, g.NumEdges())
+	for q := range ends {
+		e := g.Edge(q)
+		ends[q] = [2]int32{int32(e.U), int32(e.V)}
+	}
+	return &DecodingGraph{Kind: kind, G: g, NumReal: numReal, CutQubits: cut, Endpoints: ends}
 }
 
 // BoundaryA and BoundaryB return the two virtual boundary vertices
@@ -243,7 +259,7 @@ func (c *Code) buildZGraph() {
 		}
 		g.AddEdge(graph.Edge{ID: q, U: u, V: v, Weight: 1})
 	}
-	c.zg = &DecodingGraph{Kind: ZGraph, G: g, NumReal: numReal, CutQubits: cut}
+	c.zg = newDecodingGraph(ZGraph, g, numReal, cut)
 }
 
 // buildXGraph wires the measure-X decoding graph. Horizontal data qubits
@@ -277,7 +293,7 @@ func (c *Code) buildXGraph() {
 		}
 		g.AddEdge(graph.Edge{ID: q, U: u, V: v, Weight: 1})
 	}
-	c.xg = &DecodingGraph{Kind: XGraph, G: g, NumReal: numReal, CutQubits: cut}
+	c.xg = newDecodingGraph(XGraph, g, numReal, cut)
 }
 
 // buildCore selects the Core data qubits: one per internal logical axis,

@@ -284,3 +284,25 @@ func TestBoundaryVertices(t *testing.T) {
 		}
 	}
 }
+
+// TestEdgeIndexIsDataQubit pins the indexing the decoders and the packed
+// engine rely on: edge q of each decoding graph is data qubit q, and
+// Endpoints mirrors G's edge list.
+func TestEdgeIndexIsDataQubit(t *testing.T) {
+	for _, d := range []int{2, 3, 6} {
+		c := MustNew(d, CoreLShape)
+		for _, kind := range []GraphKind{ZGraph, XGraph} {
+			dg := c.Graph(kind)
+			if dg.G.NumEdges() != c.NumData() || len(dg.Endpoints) != c.NumData() {
+				t.Fatalf("d=%d %v: %d edges, %d endpoint pairs, %d data qubits",
+					d, kind, dg.G.NumEdges(), len(dg.Endpoints), c.NumData())
+			}
+			for q, ends := range dg.Endpoints {
+				e := dg.G.Edge(q)
+				if e.ID != q || int(ends[0]) != e.U || int(ends[1]) != e.V {
+					t.Fatalf("d=%d %v: edge %d is %+v, endpoints %v", d, kind, q, e, ends)
+				}
+			}
+		}
+	}
+}

@@ -56,8 +56,8 @@ func TestSpanSetNilSafe(t *testing.T) {
 	if id := s.Start("x", 0, 0); id != 0 {
 		t.Fatalf("nil Start = %d, want 0", id)
 	}
-	s.End(1, 5)     // no panic
-	s.End(0, 5)     // id 0 is the root sentinel, never a real span
+	s.End(1, 5) // no panic
+	s.End(0, 5) // id 0 is the root sentinel, never a real span
 	if s.Open() != 0 {
 		t.Fatal("nil Open != 0")
 	}
