@@ -72,7 +72,6 @@ func run() (exit int) {
 	maxMsgs := flag.Int("messages", 3, "maximum surface codes per request")
 	seed := flag.Uint64("seed", 1, "root random seed")
 	greedy := flag.Bool("greedy", false, "use the greedy scheduler instead of LP relaxation + rounding")
-	batchMode := flag.Bool("batch", false, "schedule trials in 64-trial slabs through sim.RunBatch (results byte-identical)")
 	var obs cliutil.Observability
 	obs.Register(flag.CommandLine)
 	flag.Parse()
@@ -96,7 +95,6 @@ func run() (exit int) {
 	cfg.MaxMessages = *maxMsgs
 	cfg.Seed = *seed
 	cfg.UseLP = !*greedy
-	cfg.Batch = *batchMode
 	cfg.Workers = obs.Workers
 	cfg.Metrics = obs.Registry
 	cfg.Tracer = obs.TracerOrNil()

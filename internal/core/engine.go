@@ -58,23 +58,13 @@ type Config struct {
 	// marked as erasures for the decoder. Slower but more reliable — the
 	// trade-off the paper describes.
 	WaitForComplete bool
-	// FiberFailProb is the per-slot probability that a fiber on the
-	// remaining path crashes (§V-B "crashes in incoming/outgoing ports").
-	// It is the legacy view onto the fault-injection subsystem: the engine
-	// folds it into the Faults profile's fiber-crash scenario, and runs
-	// configured this way reproduce their pre-injector behaviour exactly.
-	FiberFailProb float64
-	// RepairSlots is how long a crashed fiber stays down.
-	RepairSlots int
-	// Faults, when non-nil, selects the full fault-injection scenario:
-	// stochastic fiber crashes, node/server outages, correlated regional
-	// failures, fidelity drift, and scripted outage timetables
-	// (internal/faults). When its fiber-crash component is zero, the
-	// legacy FiberFailProb/RepairSlots fields above are folded in. For
+	// Faults, when non-nil, selects the fault-injection scenario: stochastic
+	// fiber crashes (§V-B "crashes in incoming/outgoing ports"), node/server
+	// outages, correlated regional failures, fidelity drift, and scripted
+	// outage timetables (internal/faults). Nil injects no faults. For
 	// SurfNet and Raw transfers every component applies; purification
-	// baselines react to fiber outages and drift (they have no correction
-	// servers for node outages to affect) and only when Faults is set
-	// explicitly, keeping legacy configurations untouched.
+	// baselines react to fiber outages and drift only (they have no
+	// correction servers for node outages to affect).
 	Faults *faults.Profile
 	// DisableRecovery turns off local recovery paths, leaving codes to
 	// wait out fiber outages.
@@ -153,7 +143,6 @@ func DefaultConfig() Config {
 		Decoder:           decoder.SurfNet{},
 		MinSegment:        2,
 		MaxSlots:          400,
-		RepairSlots:       5,
 		ChannelErrorScale: 0.15,
 		MemoryDecay:       0.999,
 		PairLifetime:      20,
@@ -183,12 +172,6 @@ func (c Config) validateEngine(net *network.Network) error {
 	}
 	if c.MaxSlots < 1 {
 		return fmt.Errorf("%w: MaxSlots %d < 1", ErrConfig, c.MaxSlots)
-	}
-	if c.FiberFailProb < 0 || c.FiberFailProb > 1 {
-		return fmt.Errorf("%w: FiberFailProb %v", ErrConfig, c.FiberFailProb)
-	}
-	if c.RepairSlots < 0 {
-		return fmt.Errorf("%w: RepairSlots %d < 0", ErrConfig, c.RepairSlots)
 	}
 	if c.Faults != nil {
 		if err := c.Faults.ValidateAgainst(net); err != nil {
@@ -243,30 +226,6 @@ func (c Config) validateSchedule(sched routing.Schedule) error {
 	}
 	return nil
 }
-
-// faultProfile resolves the effective fault scenario: the explicit Faults
-// profile, with the legacy FiberFailProb/RepairSlots fields folded into its
-// fiber-crash component when the profile leaves it zero. Nil means no faults.
-func (c Config) faultProfile() *faults.Profile {
-	var p faults.Profile
-	if c.Faults != nil {
-		p = *c.Faults
-	}
-	if p.FiberCrashProb == 0 && c.FiberFailProb > 0 {
-		p.FiberCrashProb = c.FiberFailProb
-		p.FiberRepairSlots = c.RepairSlots
-	}
-	if !p.Enabled() {
-		return nil
-	}
-	return &p
-}
-
-// FaultScenario resolves the engine's effective fault profile — the explicit
-// Faults profile with the legacy fields folded in, nil when faultless — so
-// callers layering live overlays (the resident service) start from the same
-// base the engine itself would execute under.
-func (c Config) FaultScenario() *faults.Profile { return c.faultProfile() }
 
 // replanEpoch resolves the default re-planning epoch.
 func (c Config) replanEpoch() int {
@@ -369,15 +328,15 @@ func (r RunResult) DeliveredFraction() float64 {
 // schedule-independent configuration, validated once at construction, and
 // executes any number of schedules against them. This is the resident mode
 // the control-plane daemon runs on — network state lives in the engine while
-// epoch batches of admitted transfers stream through Execute/ExecuteParallel
-// — and the substrate the one-shot Run wrapper delegates to, so batch CLIs
-// and the daemon share one code path.
+// epoch batches of admitted transfers stream through ExecuteParallel — and
+// the substrate the one-shot Run wrapper delegates to, so batch CLIs and the
+// daemon share one code path.
 type Engine struct {
 	net *network.Network
 	cfg Config
 
 	// codes caches built surface codes by distance (0 = the configured
-	// default), shared across Execute calls so a resident engine builds each
+	// default), shared across executions so a resident engine builds each
 	// geometry once. Guarded for ExecuteParallel's worker pool.
 	mu    sync.Mutex
 	codes map[int]*surfacecode.Code
@@ -422,40 +381,12 @@ func (e *Engine) codeFor(distance int) (*surfacecode.Code, error) {
 	return code, nil
 }
 
-// Execute runs every scheduled code of sched serially. Codes are simulated on
-// independent randomness sub-streams derived from src by request and code
-// index, so results are reproducible and insensitive to iteration order —
-// and identical to ExecuteParallel at any worker count.
-func (e *Engine) Execute(sched routing.Schedule, src *rng.Source) (RunResult, error) {
-	if err := e.cfg.validateSchedule(sched); err != nil {
-		return RunResult{}, err
-	}
-	res := RunResult{Design: sched.Design}
-	for ri, rs := range sched.Requests {
-		for ci, cr := range rs.Codes {
-			code, err := e.codeFor(cr.Distance)
-			if err != nil {
-				return RunResult{}, fmt.Errorf("request %d code %d: building distance-%d code: %w",
-					ri, ci, cr.Distance, err)
-			}
-			stream := src.SplitN(fmt.Sprintf("req%d", ri), ci)
-			o, err := runOne(e.net, sched, e.cfg, code, rs.Request, cr, stream, ri, ci)
-			if err != nil {
-				return RunResult{}, fmt.Errorf("request %d code %d: %w", ri, ci, err)
-			}
-			o.Request, o.Code = ri, ci
-			res.Outcomes = append(res.Outcomes, o)
-		}
-	}
-	return res, nil
-}
-
 // ExecuteParallel runs the schedule's codes on a deterministic worker pool.
-// Each code draws from the same src.SplitN(req, code) sub-stream as Execute
-// and outcomes are reduced in (request, code) order, so the result is
-// field-for-field identical to Execute for every worker count — the
-// worker-invariance contract daemon-admitted transfers inherit. ctx cancels
-// between codes; workers <= 0 selects GOMAXPROCS.
+// Each code draws from its own src.SplitN(req, code) sub-stream and outcomes
+// are reduced in (request, code) order, so the result is field-for-field
+// identical for every worker count — the worker-invariance contract
+// daemon-admitted transfers inherit. ctx cancels between codes; workers <= 0
+// selects GOMAXPROCS.
 func (e *Engine) ExecuteParallel(ctx context.Context, sched routing.Schedule, src *rng.Source, workers int) (RunResult, error) {
 	return e.executeParallel(ctx, sched, src, workers, e.cfg)
 }
@@ -470,9 +401,6 @@ func (e *Engine) ExecuteParallel(ctx context.Context, sched routing.Schedule, sr
 func (e *Engine) ExecuteParallelFaults(ctx context.Context, sched routing.Schedule, src *rng.Source, workers int, profile *faults.Profile) (RunResult, error) {
 	cfg := e.cfg
 	cfg.Faults = profile
-	// The per-call profile replaces the configured scenario outright; drop
-	// the legacy fields so faultProfile cannot fold them back in.
-	cfg.FiberFailProb, cfg.RepairSlots = 0, 0
 	if profile != nil {
 		if err := profile.ValidateAgainst(e.net); err != nil {
 			return RunResult{}, fmt.Errorf("%w: %v", ErrConfig, err)
@@ -481,7 +409,7 @@ func (e *Engine) ExecuteParallelFaults(ctx context.Context, sched routing.Schedu
 	return e.executeParallel(ctx, sched, src, workers, cfg)
 }
 
-// executeParallel is the shared worker-pool body of ExecuteParallel and
+// executeParallel is the one execution body behind Run, ExecuteParallel and
 // ExecuteParallelFaults.
 func (e *Engine) executeParallel(ctx context.Context, sched routing.Schedule, src *rng.Source, workers int, cfg Config) (RunResult, error) {
 	if err := cfg.validateSchedule(sched); err != nil {
@@ -526,15 +454,17 @@ func (e *Engine) executeParallel(ctx context.Context, sched routing.Schedule, sr
 }
 
 // Run executes every scheduled code of sched on net: the one-shot batch entry
-// point, a NewEngine + Execute pair. Codes are simulated on independent
-// randomness sub-streams, so results are reproducible and insensitive to
-// iteration order.
+// point, a NewEngine + one-worker ExecuteParallel pair. Codes are simulated on
+// independent randomness sub-streams, so results are reproducible and
+// insensitive to iteration order. The background context is deliberate: Run
+// is a trial's inner loop, and a progress reporter on the caller's context
+// (sim.WithProgress) counts trials, not codes.
 func Run(net *network.Network, sched routing.Schedule, cfg Config, src *rng.Source) (RunResult, error) {
 	e, err := NewEngine(net, cfg)
 	if err != nil {
 		return RunResult{}, err
 	}
-	return e.Execute(sched, src)
+	return e.ExecuteParallel(context.Background(), sched, src, 1)
 }
 
 // runOne dispatches on the schedule's design. ri and ci tag telemetry with
@@ -582,11 +512,8 @@ func runPurification(net *network.Network, sched routing.Schedule, cfg Config, r
 	if life == 0 {
 		life = 20
 	}
-	// Fault injection for the baselines is opt-in: only an explicit Faults
-	// profile applies (the legacy FiberFailProb fields never did here, and
-	// folding them in would silently change pre-injector results). A down
-	// fiber destroys its live pairs and blocks generation; drift degrades
-	// the delivered chain fidelity below.
+	// A down fiber destroys its live pairs and blocks generation; drift
+	// degrades the delivered chain fidelity below.
 	var inj faults.Injector
 	if cfg.Faults != nil {
 		inj = cfg.Faults.Build(net)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"surfnet/internal/decoder"
+	"surfnet/internal/faults"
 	"surfnet/internal/network"
 	"surfnet/internal/rng"
 	"surfnet/internal/routing"
@@ -282,8 +283,7 @@ func TestFiberOutagesAndRecovery(t *testing.T) {
 		t.Fatalf("scheduling failed: %v", err)
 	}
 	cfg := DefaultConfig()
-	cfg.FiberFailProb = 0.05
-	cfg.RepairSlots = 20
+	cfg.Faults = &faults.Profile{FiberCrashProb: 0.05, FiberRepairSlots: 20}
 	cfg.MaxSlots = 1000
 	res, err := Run(net, sched, cfg, rng.New(29))
 	if err != nil {

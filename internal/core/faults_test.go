@@ -45,7 +45,6 @@ func TestConfigValidationFaultKnobs(t *testing.T) {
 		name string
 		mut  func(*Config)
 	}{
-		{"negative RepairSlots", func(c *Config) { c.RepairSlots = -1 }},
 		{"negative RecoveryBackoff", func(c *Config) { c.RecoveryBackoff = -2 }},
 		{"negative RecoveryBackoffMax", func(c *Config) { c.RecoveryBackoffMax = -1 }},
 		{"backoff cap below start", func(c *Config) { c.RecoveryBackoff = 8; c.RecoveryBackoffMax = 4 }},
@@ -66,36 +65,6 @@ func TestConfigValidationFaultKnobs(t *testing.T) {
 		if _, err := Run(net, sched, cfg, rng.New(1)); err == nil {
 			t.Errorf("%s: Run accepted invalid config", tc.name)
 		}
-	}
-}
-
-func TestLegacyFiberFailMatchesExplicitProfile(t *testing.T) {
-	// The legacy FiberFailProb/RepairSlots fields are folded into the
-	// injector's fiber-crash scenario; an explicit profile with the same
-	// parameters must reproduce every outcome byte-identically.
-	net := ringNet(t)
-	p := routing.DefaultParams(routing.SurfNet)
-	sched, err := routing.Greedy(net, []network.Request{{Src: 0, Dst: 4, Messages: 10}}, p, nil, nil)
-	if err != nil || sched.AcceptedCodes() == 0 {
-		t.Fatalf("scheduling failed: %v", err)
-	}
-	legacy := DefaultConfig()
-	legacy.FiberFailProb = 0.05
-	legacy.RepairSlots = 20
-	legacy.MaxSlots = 1000
-	a, err := Run(net, sched, legacy, rng.New(29))
-	if err != nil {
-		t.Fatal(err)
-	}
-	explicit := DefaultConfig()
-	explicit.MaxSlots = 1000
-	explicit.Faults = &faults.Profile{FiberCrashProb: 0.05, FiberRepairSlots: 20}
-	b, err := Run(net, sched, explicit, rng.New(29))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("legacy fields and explicit profile diverge:\n%+v\nvs\n%+v", a, b)
 	}
 }
 
@@ -438,23 +407,12 @@ func TestFaultInjectedRunDeterminism(t *testing.T) {
 }
 
 func TestPurificationFaultsOptIn(t *testing.T) {
-	// Legacy FiberFailProb never applied to purification baselines; only an
-	// explicit profile may change their results.
+	// A fault profile reaches the purification baselines too.
 	net := lineNet(t, 0.9, 0.6, 0.02)
 	sched := mustSchedule(t, net, routing.Purification2, 3)
 	base, err := Run(net, sched, DefaultConfig(), rng.New(19))
 	if err != nil {
 		t.Fatal(err)
-	}
-	legacy := DefaultConfig()
-	legacy.FiberFailProb = 0.2
-	legacy.RepairSlots = 10
-	same, err := Run(net, sched, legacy, rng.New(19))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(base, same) {
-		t.Fatal("legacy FiberFailProb changed purification results")
 	}
 	explicit := DefaultConfig()
 	explicit.Faults = &faults.Profile{FiberCrashProb: 0.2, FiberRepairSlots: 10}

@@ -2,14 +2,43 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
 	"surfnet/internal/decoder"
+	"surfnet/internal/faults"
 	"surfnet/internal/rng"
 	"surfnet/internal/routing"
 	"surfnet/internal/topology"
 )
+
+// executeSerial is the reference the execution paths are checked against: a
+// plain loop over the schedule's codes in (request, code) order, each on its
+// own src.SplitN(req, code) stream, with no worker pool in between.
+func executeSerial(t *testing.T, e *Engine, sched routing.Schedule, src *rng.Source) RunResult {
+	t.Helper()
+	if err := e.cfg.validateSchedule(sched); err != nil {
+		t.Fatal(err)
+	}
+	res := RunResult{Design: sched.Design}
+	for ri, rs := range sched.Requests {
+		for ci, cr := range rs.Codes {
+			code, err := e.codeFor(cr.Distance)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stream := src.SplitN(fmt.Sprintf("req%d", ri), ci)
+			o, err := runOne(e.net, sched, e.cfg, code, rs.Request, cr, stream, ri, ci)
+			if err != nil {
+				t.Fatalf("request %d code %d: %v", ri, ci, err)
+			}
+			o.Request, o.Code = ri, ci
+			res.Outcomes = append(res.Outcomes, o)
+		}
+	}
+	return res
+}
 
 // residentFixture builds a generated topology with an LP schedule and a
 // fault-injecting config — enough moving parts (recoveries, re-plans,
@@ -31,7 +60,7 @@ func residentFixture(t *testing.T) (*Engine, routing.Schedule) {
 	}
 	cfg := DefaultConfig()
 	cfg.Decoder = decoder.SurfNet{}
-	cfg.FiberFailProb = 0.01
+	cfg.Faults = &faults.Profile{FiberCrashProb: 0.01, FiberRepairSlots: 5}
 	eng, err := NewEngine(net, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -51,15 +80,12 @@ func TestNewEngineValidation(t *testing.T) {
 	}
 }
 
-// TestEngineExecuteMatchesRun pins the refactor contract: the one-shot Run
-// wrapper and a resident Engine produce field-for-field identical outcomes.
+// TestEngineExecuteMatchesRun pins the one-shot Run wrapper to the serial
+// reference: field-for-field identical outcomes.
 func TestEngineExecuteMatchesRun(t *testing.T) {
 	eng, sched := residentFixture(t)
-	want, err := Run(eng.Network(), sched, eng.Config(), rng.New(99))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := eng.Execute(sched, rng.New(99))
+	want := executeSerial(t, eng, sched, rng.New(99))
+	got, err := Run(eng.Network(), sched, eng.Config(), rng.New(99))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,11 +104,11 @@ func TestEngineExecuteMatchesRun(t *testing.T) {
 // from equal seeds yields identical results — no state leaks between calls.
 func TestEngineReentrant(t *testing.T) {
 	eng, sched := residentFixture(t)
-	a, err := eng.Execute(sched, rng.New(5))
+	a, err := eng.ExecuteParallel(context.Background(), sched, rng.New(5), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := eng.Execute(sched, rng.New(5))
+	b, err := eng.ExecuteParallel(context.Background(), sched, rng.New(5), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,14 +120,11 @@ func TestEngineReentrant(t *testing.T) {
 }
 
 // TestExecuteParallelWorkerInvariance pins the daemon's determinism contract:
-// the parallel engine matches serial execution for every worker count, so
+// the parallel engine matches the serial reference for every worker count, so
 // daemon-admitted transfers are reproducible regardless of pool width.
 func TestExecuteParallelWorkerInvariance(t *testing.T) {
 	eng, sched := residentFixture(t)
-	want, err := eng.Execute(sched, rng.New(77))
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := executeSerial(t, eng, sched, rng.New(77))
 	for _, workers := range []int{1, 2, 3, 4} {
 		got, err := eng.ExecuteParallel(context.Background(), sched, rng.New(77), workers)
 		if err != nil {
@@ -152,7 +175,7 @@ func TestExecuteScheduleValidation(t *testing.T) {
 	}
 	bad := sched
 	bad.Params.CoreQubits++
-	if _, err := eng.Execute(bad, rng.New(1)); err == nil || !strings.Contains(err.Error(), "qubits") {
+	if _, err := eng.ExecuteParallel(context.Background(), bad, rng.New(1), 1); err == nil || !strings.Contains(err.Error(), "qubits") {
 		t.Fatalf("schedule/code mismatch should fail, got %v", err)
 	}
 }

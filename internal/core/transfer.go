@@ -110,8 +110,8 @@ func newTransfer(net *network.Network, sched routing.Schedule, cfg Config, code 
 		isCore:   code.CoreMask(),
 		ins:      newInstruments(cfg.Metrics),
 	}
-	if p := cfg.faultProfile(); p != nil {
-		t.inj = p.Build(net)
+	if cfg.Faults != nil {
+		t.inj = cfg.Faults.Build(net)
 	}
 	t.support.path = append([]int(nil), cr.SupportPath...)
 	t.support.nodes = nodeSeq(net, req.Src, t.support.path)

@@ -72,27 +72,3 @@ func TestFig8BatchMatchesScalarStatistically(t *testing.T) {
 			packed[0].LogicalRate, scalar[0].LogicalRate, diff, 6*sigma)
 	}
 }
-
-// TestFig6aBatchByteIdentical pins the Fig 6/7 batch wiring: scheduling
-// trials in 64-trial slabs must not change a single byte of the cells,
-// because every trial keeps its SplitN("trial", i) stream and the reduction
-// stays ordered.
-func TestFig6aBatchByteIdentical(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.Trials = 5
-	scalarRows, err := Fig6a(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Batch = true
-	for _, w := range workerCounts {
-		cfg.Workers = w
-		rows, err := Fig6a(cfg)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		if !reflect.DeepEqual(rows, scalarRows) {
-			t.Fatalf("workers=%d: batched cells diverge from per-trial cells\ngot  %+v\nwant %+v", w, rows, scalarRows)
-		}
-	}
-}

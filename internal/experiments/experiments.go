@@ -9,7 +9,6 @@ import (
 	"context"
 	"fmt"
 
-	"surfnet/internal/batch"
 	"surfnet/internal/core"
 	"surfnet/internal/metrics"
 	"surfnet/internal/network"
@@ -47,12 +46,6 @@ type Config struct {
 	// from the seed and trial index, never from worker identity, and
 	// per-trial results are reduced in trial order (internal/sim).
 	Workers int
-	// Batch schedules trials through sim.RunBatch in slabs of 64 instead
-	// of one trial per work unit. Each trial still derives its randomness
-	// from the seed and trial index, so cells are byte-identical to the
-	// per-trial path; the coarser unit amortizes pool overhead on large
-	// sweeps.
-	Batch bool
 	// Engine configures online execution (code, decoder, segments).
 	Engine core.Config
 	// Metrics, when non-nil, collects counters and histograms from the
@@ -150,7 +143,7 @@ func runCell(cfg Config, spec trialSpec, label string) (Cell, error) {
 		defer cell.Finish()
 		ctx = sim.WithProgress(ctx, cell)
 	}
-	trialFn := func(trial int) (trialOutcome, error) {
+	outcomes, err := sim.Run(ctx, cfg.Trials, cfg.Workers, func(trial int, _ *sim.Worker) (trialOutcome, error) {
 		src := root.SplitN("trial", trial)
 		net, err := topology.Generate(spec.params, src.Split("net"))
 		if err != nil {
@@ -176,30 +169,7 @@ func runCell(cfg Config, spec trialSpec, label string) (Cell, error) {
 		out.fidelity = res.Fidelity()
 		out.latency = res.MeanLatency()
 		return out, nil
-	}
-	var outcomes []trialOutcome
-	var err error
-	if cfg.Batch {
-		// Batched scheduling: a work unit is a 64-trial slab, but every
-		// trial keeps its SplitN("trial", i) stream, so the cell is
-		// byte-identical to the per-trial path.
-		outcomes, err = sim.RunBatch(ctx, cfg.Trials, batch.Lanes, cfg.Workers,
-			func(b sim.Batch, _ *sim.Worker) ([]trialOutcome, error) {
-				out := make([]trialOutcome, b.Len)
-				for k := range out {
-					var err error
-					if out[k], err = trialFn(b.Start + k); err != nil {
-						return nil, err
-					}
-				}
-				return out, nil
-			})
-	} else {
-		outcomes, err = sim.Run(ctx, cfg.Trials, cfg.Workers,
-			func(trial int, _ *sim.Worker) (trialOutcome, error) {
-				return trialFn(trial)
-			})
-	}
+	})
 	if err != nil {
 		return Cell{}, err
 	}

@@ -6,10 +6,28 @@ import (
 	"strings"
 )
 
+// Script is an exact outage timetable. Its text form — the one ParseScript
+// reads and FormatScript writes — is also its JSON form, so a Profile
+// travels over the daemon's admin API with its timetable in flag syntax.
+type Script []ScriptedFault
+
+// MarshalText renders the script in its text form (FormatScript).
+func (s Script) MarshalText() ([]byte, error) { return []byte(FormatScript(s)), nil }
+
+// UnmarshalText parses the script from its text form (ParseScript).
+func (s *Script) UnmarshalText(text []byte) error {
+	script, err := ParseScript(string(text))
+	if err != nil {
+		return err
+	}
+	*s = script
+	return nil
+}
+
 // FormatScript renders a script back into the textual form ParseScript
 // accepts, for echoing armed scenarios over the admin API. A nil script
 // yields the empty string.
-func FormatScript(script []ScriptedFault) string {
+func FormatScript(script Script) string {
 	parts := make([]string, len(script))
 	for i, ev := range script {
 		target := "fiber"
@@ -26,11 +44,11 @@ func FormatScript(script []ScriptedFault) string {
 // slot 40 for 60 slots" is 40:fiber:3:60). An empty or all-space string
 // yields a nil script. Shared by cmd/faultsim (-script), cmd/surfnetd
 // (-fault-script), and the daemon's POST /v1/faults admin endpoint.
-func ParseScript(arg string) ([]ScriptedFault, error) {
+func ParseScript(arg string) (Script, error) {
 	if strings.TrimSpace(arg) == "" {
 		return nil, nil
 	}
-	var script []ScriptedFault
+	var script Script
 	for _, part := range strings.Split(arg, ",") {
 		fields := strings.Split(strings.TrimSpace(part), ":")
 		if len(fields) != 4 {

@@ -12,41 +12,43 @@ var ErrProfile = errors.New("faults: invalid profile")
 
 // Profile is the declarative fault scenario attached to an engine Config:
 // zero values switch each component off, so the zero Profile injects
-// nothing. Build compiles it into the live Injector for one transfer.
+// nothing. Build compiles it into the live Injector for one transfer. Its
+// JSON form is the body of the daemon's POST /v1/faults and the profile
+// that GET /v1/faults echoes; zero components are omitted.
 type Profile struct {
 	// FiberCrashProb is the per-slot probability that an in-play fiber
-	// crashes (the paper's §V-B model; the engine folds its legacy
-	// FiberFailProb field into this when the profile leaves it zero).
-	FiberCrashProb float64
+	// crashes (the paper's §V-B model).
+	FiberCrashProb float64 `json:"fiber_crash_prob,omitempty"`
 	// FiberRepairSlots is how long a crashed fiber stays down.
-	FiberRepairSlots int
+	FiberRepairSlots int `json:"fiber_repair_slots,omitempty"`
 
 	// NodeOutageProb is the per-slot probability that an upcoming
 	// error-correction server goes out of service; the engine then skips
 	// that correction and the code degrades to destination-only decoding.
-	NodeOutageProb float64
+	NodeOutageProb float64 `json:"node_outage_prob,omitempty"`
 	// NodeRepairSlots is how long a node outage lasts.
-	NodeRepairSlots int
+	NodeRepairSlots int `json:"node_repair_slots,omitempty"`
 
 	// RegionalProb is the per-slot probability of a correlated regional
 	// failure at a node touched by the remaining route: the node and all
 	// its incident fibers go down together.
-	RegionalProb float64
+	RegionalProb float64 `json:"regional_prob,omitempty"`
 	// RegionalRepairSlots is how long a regional outage lasts.
-	RegionalRepairSlots int
+	RegionalRepairSlots int `json:"regional_repair_slots,omitempty"`
 
 	// DriftProb is the per-slot probability that an in-play fiber enters a
 	// fidelity-drift episode.
-	DriftProb float64
+	DriftProb float64 `json:"drift_prob,omitempty"`
 	// DriftWindow is the episode length in slots; zero selects 10.
-	DriftWindow int
+	DriftWindow int `json:"drift_window,omitempty"`
 	// DriftDecay is the per-slot multiplicative gamma decay during an
 	// episode; zero selects 0.98.
-	DriftDecay float64
+	DriftDecay float64 `json:"drift_decay,omitempty"`
 
 	// Script is an exact outage timetable applied on top of the stochastic
-	// scenarios.
-	Script []ScriptedFault
+	// scenarios; in JSON it is one string in flag syntax,
+	// SLOT:fiber|node:ID:DURATION,...
+	Script Script `json:"script,omitempty"`
 
 	// DownFibers, DownNodes, and GammaScale form the static overlay: the
 	// listed fibers and nodes are down for the whole transfer, and fiber fi's
@@ -55,9 +57,9 @@ type Profile struct {
 	// boundary so every transfer of the epoch sees one consistent network,
 	// while the stochastic components above stay per-transfer Monte Carlo.
 	// The overlay consumes no randomness, keeping runs worker-invariant.
-	DownFibers []int
-	DownNodes  []int
-	GammaScale map[int]float64
+	DownFibers []int           `json:"down_fibers,omitempty"`
+	DownNodes  []int           `json:"down_nodes,omitempty"`
+	GammaScale map[int]float64 `json:"gamma_scale,omitempty"`
 }
 
 // Enabled reports whether the profile injects any fault at all.

@@ -9,9 +9,7 @@ import (
 
 // fiberCrashes is the paper's §V-B failure model: each in-scope fiber
 // crashes independently per slot and stays down for a fixed repair time.
-// Its Step consumes randomness in exactly the order the engine's legacy
-// FiberFailProb path did — one draw per up fiber in enumeration order —
-// so pre-injector configs reproduce byte-identically through it.
+// Its Step consumes one draw per up fiber, in enumeration order.
 type fiberCrashes struct {
 	prob      float64
 	repair    int

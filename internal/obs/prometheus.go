@@ -25,20 +25,9 @@ import (
 const MetricPrefix = "surfnet_"
 
 // promName maps a dot-namespaced telemetry instrument name onto a legal
-// Prometheus metric name: the application prefix plus the name with every
-// character outside [a-zA-Z0-9_] replaced by '_'.
+// Prometheus metric name: the application prefix plus the sanitized name.
 func promName(name string) string {
-	var b strings.Builder
-	b.WriteString(MetricPrefix)
-	for _, r := range name {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '_':
-			b.WriteRune(r)
-		default:
-			b.WriteByte('_')
-		}
-	}
-	return b.String()
+	return MetricPrefix + telemetry.SanitizeName(name)
 }
 
 // promFloat renders a float64 the way the exposition format expects,

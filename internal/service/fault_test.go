@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"reflect"
 	"testing"
 	"time"
 
@@ -223,6 +224,23 @@ func TestSubmitValidatesRobustnessContract(t *testing.T) {
 	bad.RetryBudget = maxRetryBudget + 1
 	if _, err := svc.Submit(bad); err == nil {
 		t.Fatal("oversized retry budget must be rejected")
+	}
+	// A deadline whose time.Duration overflows would wrap into the past.
+	for _, ms := range []int64{maxDeadlineMs + 1, 10_000_000_000_000} {
+		bad = subs[0]
+		bad.DeadlineMs = ms
+		if _, err := svc.Submit(bad); err == nil {
+			t.Fatalf("deadline_ms %d overflows time.Duration and must be rejected", ms)
+		}
+	}
+	far := subs[0]
+	far.DeadlineMs = maxDeadlineMs
+	st, err := svc.Submit(far)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr := svc.transfers[st.ID]; !tr.deadline.After(tr.submitted) {
+		t.Fatalf("deadline_ms %d gave deadline %v before admission %v", far.DeadlineMs, tr.deadline, tr.submitted)
 	}
 }
 
@@ -462,7 +480,8 @@ func TestHTTPFaultsEndpoint(t *testing.T) {
 	if resp2.StatusCode != http.StatusOK || !info.State.Enabled {
 		t.Fatalf("arming POST = %d enabled=%v", resp2.StatusCode, info.State.Enabled)
 	}
-	if info.Profile.FiberCrashProb != 0.1 || info.Profile.Script != "0:node:2:50" {
+	wantScript := faults.Script{{Slot: 0, Duration: 50, Node: true, ID: 2}}
+	if info.Profile.FiberCrashProb != 0.1 || !reflect.DeepEqual(info.Profile.Script, wantScript) {
 		t.Fatalf("echoed profile = %+v", info.Profile)
 	}
 	svc.StepFaults()

@@ -103,87 +103,29 @@ func (s *Service) handleBundle(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.Bundle())
 }
 
-// FaultRequest is the POST /v1/faults body: the declarative fault scenario in
-// JSON form, with the scripted timetable in the same textual syntax as the
-// -fault-script flag. It replaces the armed scenario wholesale; an empty body
-// clears all injected faults.
-type FaultRequest struct {
-	FiberCrashProb      float64 `json:"fiber_crash_prob,omitempty"`
-	FiberRepairSlots    int     `json:"fiber_repair_slots,omitempty"`
-	NodeOutageProb      float64 `json:"node_outage_prob,omitempty"`
-	NodeRepairSlots     int     `json:"node_repair_slots,omitempty"`
-	RegionalProb        float64 `json:"regional_prob,omitempty"`
-	RegionalRepairSlots int     `json:"regional_repair_slots,omitempty"`
-	DriftProb           float64 `json:"drift_prob,omitempty"`
-	DriftWindow         int     `json:"drift_window,omitempty"`
-	DriftDecay          float64 `json:"drift_decay,omitempty"`
-	// Script is a timetable in flag syntax: SLOT:fiber|node:ID:DURATION,...
-	Script string `json:"script,omitempty"`
-	// DownFibers/DownNodes/GammaScale pin a static overlay directly.
-	DownFibers []int           `json:"down_fibers,omitempty"`
-	DownNodes  []int           `json:"down_nodes,omitempty"`
-	GammaScale map[int]float64 `json:"gamma_scale,omitempty"`
-}
-
 // FaultInfo is the GET /v1/faults (and POST /v1/faults success) response.
 type FaultInfo struct {
-	State   FaultState   `json:"state"`
-	Profile FaultRequest `json:"profile"`
+	State   FaultState     `json:"state"`
+	Profile faults.Profile `json:"profile"`
 }
 
-// faultInfo snapshots the plane and renders the armed profile back into its
-// request form.
+// faultInfo snapshots the plane and its armed profile.
 func (s *Service) faultInfo() FaultInfo {
-	p := s.FaultProfile()
-	return FaultInfo{
-		State: s.FaultState(),
-		Profile: FaultRequest{
-			FiberCrashProb:      p.FiberCrashProb,
-			FiberRepairSlots:    p.FiberRepairSlots,
-			NodeOutageProb:      p.NodeOutageProb,
-			NodeRepairSlots:     p.NodeRepairSlots,
-			RegionalProb:        p.RegionalProb,
-			RegionalRepairSlots: p.RegionalRepairSlots,
-			DriftProb:           p.DriftProb,
-			DriftWindow:         p.DriftWindow,
-			DriftDecay:          p.DriftDecay,
-			Script:              faults.FormatScript(p.Script),
-			DownFibers:          p.DownFibers,
-			DownNodes:           p.DownNodes,
-			GammaScale:          p.GammaScale,
-		},
-	}
+	return FaultInfo{State: s.FaultState(), Profile: s.FaultProfile()}
 }
 
 func (s *Service) handleGetFaults(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.faultInfo())
 }
 
+// handleSetFaults decodes a faults.Profile — its JSON form, with the scripted
+// timetable in the -fault-script flag syntax — and arms it in place of the
+// current scenario; an empty object clears all injected faults.
 func (s *Service) handleSetFaults(w http.ResponseWriter, r *http.Request) {
-	var req FaultRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	var profile faults.Profile
+	if err := json.NewDecoder(r.Body).Decode(&profile); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "invalid JSON: " + err.Error()})
 		return
-	}
-	script, err := faults.ParseScript(req.Script)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
-		return
-	}
-	profile := faults.Profile{
-		FiberCrashProb:      req.FiberCrashProb,
-		FiberRepairSlots:    req.FiberRepairSlots,
-		NodeOutageProb:      req.NodeOutageProb,
-		NodeRepairSlots:     req.NodeRepairSlots,
-		RegionalProb:        req.RegionalProb,
-		RegionalRepairSlots: req.RegionalRepairSlots,
-		DriftProb:           req.DriftProb,
-		DriftWindow:         req.DriftWindow,
-		DriftDecay:          req.DriftDecay,
-		Script:              script,
-		DownFibers:          req.DownFibers,
-		DownNodes:           req.DownNodes,
-		GammaScale:          req.GammaScale,
 	}
 	if err := s.SetFaultProfile(profile); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})

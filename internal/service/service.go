@@ -60,6 +60,9 @@ var (
 const (
 	// maxRetryBudget caps the per-transfer retry budget a client may request.
 	maxRetryBudget = 8
+	// maxDeadlineMs is the largest deadline_ms whose time.Duration does not
+	// overflow (about 292 years); a larger value would wrap into the past.
+	maxDeadlineMs = math.MaxInt64 / int64(time.Millisecond)
 	// retryBackoffCap caps the exponential retry backoff, in epochs.
 	retryBackoffCap = 8
 	// retryPoll is how long Run waits before re-polling when the only
@@ -456,8 +459,8 @@ func (s *Service) Submit(req TransferRequest) (TransferStatus, error) {
 	if err := nreq.Validate(s.eng.Network()); err != nil {
 		return TransferStatus{}, fmt.Errorf("service: invalid transfer: %w", err)
 	}
-	if req.DeadlineMs < 0 {
-		return TransferStatus{}, fmt.Errorf("service: invalid transfer: deadline_ms %d < 0", req.DeadlineMs)
+	if req.DeadlineMs < 0 || req.DeadlineMs > maxDeadlineMs {
+		return TransferStatus{}, fmt.Errorf("service: invalid transfer: deadline_ms %d outside [0,%d]", req.DeadlineMs, maxDeadlineMs)
 	}
 	if req.RetryBudget < 0 || req.RetryBudget > maxRetryBudget {
 		return TransferStatus{}, fmt.Errorf("service: invalid transfer: retry_budget %d outside [0,%d]", req.RetryBudget, maxRetryBudget)
@@ -908,7 +911,7 @@ func (s *Service) degradedEpoch() {
 func (s *Service) execute(ctx context.Context, sched routing.Schedule, epoch int64, overlay FaultState) (core.RunResult, error) {
 	src := s.src.SplitN("epoch", int(epoch))
 	var p faults.Profile
-	if base := s.eng.Config().FaultScenario(); base != nil {
+	if base := s.eng.Config().Faults; base != nil {
 		p = *base
 	}
 	p.DownFibers = overlay.DownFibers
@@ -1026,11 +1029,14 @@ func (s *Service) terminalFlightLocked(t *transfer, epoch int64, note string) {
 const maxTenantHDRs = 32
 
 // tenantWallLocked returns the tenant's admission-to-completion wall HDR,
-// creating it on first sight.
+// creating it on first sight. HDRs are keyed by the name /metrics renders, so
+// tenants whose names render alike ("a.b", "a_b") share one metric family
+// instead of exposing it twice.
 func (s *Service) tenantWallLocked(name string) *telemetry.HDR {
 	if name == "" {
 		name = "default"
 	}
+	name = telemetry.SanitizeName(name)
 	h, ok := s.tenantWall[name]
 	if ok {
 		return h

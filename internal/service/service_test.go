@@ -1,12 +1,15 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"strings"
 	"testing"
 	"time"
 
 	"surfnet/internal/core"
 	"surfnet/internal/decoder"
+	"surfnet/internal/obs"
 	"surfnet/internal/rng"
 	"surfnet/internal/routing"
 	"surfnet/internal/telemetry"
@@ -93,6 +96,42 @@ func TestSubmitAndStepEpochCompletes(t *testing.T) {
 	}
 	if st.WallP99 <= 0 {
 		t.Fatal("wall p99 not recorded")
+	}
+}
+
+// TestTenantNamesRenderOneFamily pins that tenants whose names render to one
+// Prometheus name share one wall histogram: a metric family declared twice
+// makes the whole /metrics scrape invalid.
+func TestTenantNamesRenderOneFamily(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	svc, subs := fixture(t, Config{Metrics: reg})
+	for i, tenant := range []string{"a.b", "a_b"} {
+		sub := subs[i]
+		sub.Tenant = tenant
+		if _, err := svc.Submit(sub); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := svc.StepEpoch(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := obs.WritePrometheus(&buf, reg.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	families := map[string]int{}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if strings.HasPrefix(line, "# TYPE ") {
+			families[strings.Fields(line)[2]]++
+		}
+	}
+	for name, n := range families {
+		if n > 1 {
+			t.Errorf("metric family %s declared %d times", name, n)
+		}
+	}
+	if !strings.Contains(buf.String(), "surfnet_service_tenant_a_b_wall_seconds_count 2\n") {
+		t.Errorf("tenants a.b and a_b should share one histogram with 2 observations:\n%s", buf.String())
 	}
 }
 

@@ -248,6 +248,25 @@ var (
 	WeightBuckets = LinearBuckets(0, 4, 25)
 )
 
+// SanitizeName maps an instrument name onto the characters a Prometheus
+// metric name may hold: every character outside [a-zA-Z0-9_] becomes '_'.
+// The /metrics exposition renders names through it, so two names that differ
+// only in such characters render as one metric family; code that builds
+// instrument names from outside input (tenant names) keys them by this form,
+// making names that render alike share one instrument.
+func SanitizeName(name string) string {
+	var b strings.Builder
+	for _, r := range name {
+		switch {
+		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '_':
+			b.WriteRune(r)
+		default:
+			b.WriteByte('_')
+		}
+	}
+	return b.String()
+}
+
 // Registry is a named collection of instruments. The zero value is not
 // usable; construct with NewRegistry. A nil *Registry is the package's no-op
 // default: every lookup returns a nil instrument.
