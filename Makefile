@@ -4,7 +4,7 @@ GO ?= go
 # pipeline.
 BENCHTIME ?= 1s
 
-.PHONY: build test race vet fmt-check check bench-json bench-smoke bench-diff bench-save obs-smoke daemon-smoke chaos-smoke flight-smoke service-bench
+.PHONY: build test race vet fmt-check check bench-json bench-smoke bench-diff bench-save obs-smoke daemon-smoke chaos-smoke flight-smoke
 
 build:
 	$(GO) build ./...
@@ -50,10 +50,11 @@ bench-smoke:
 bench-diff:
 	./scripts/bench_diff.sh
 
-# Regenerate every committed benchdiff baseline (BENCH_decoder.json and
-# BENCH_service.json) in one step, for the commit that intentionally moves
-# the perf ledger. Refuses on a dirty working tree so a baseline refresh can
-# never silently absorb unrelated uncommitted changes into the ledger commit.
+# Regenerate the committed benchdiff baseline (BENCH_decoder.json), for the
+# commit that intentionally moves the perf ledger. Refuses on a dirty working
+# tree so a baseline refresh can never silently absorb unrelated uncommitted
+# changes into the ledger commit. Service latency is benchmarked by surfbench
+# (bash surfbench/run.sh --workload epoch), not by a ledger here.
 bench-save:
 	@if [ -n "$$(git status --porcelain)" ]; then \
 		echo "bench-save: working tree is dirty; commit or stash first" >&2; \
@@ -61,7 +62,6 @@ bench-save:
 		exit 1; \
 	fi
 	$(MAKE) bench-json
-	./scripts/service_bench.sh
 
 # Launch surfnetsim with the obs server on a tiny figure and curl its
 # endpoints (same script CI runs).
@@ -82,12 +82,7 @@ chaos-smoke:
 
 # Flight-recorder smoke: surfnetd under chaos with trace sampling, a trace
 # fetched mid-chaos asserting the segment-attribution sum contract, the
-# /debug/bundle shape, flightview rendering, and the segment HDR families on
+# /debug/bundle shape, traceview rendering, and the segment HDR families on
 # /metrics (same script CI runs).
 flight-smoke:
 	./scripts/flight_smoke.sh
-
-# Service-level perf gate: rerun the canonical surfload scenario and diff the
-# wall-latency ledger against the committed BENCH_service.json.
-service-bench:
-	./scripts/service_bench.sh diff

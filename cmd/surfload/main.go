@@ -1,7 +1,7 @@
 // Command surfload drives a running surfnetd with open-loop Poisson arrivals
-// and records service-level latency into a benchjson-schema BENCH_*.json, so
-// cmd/benchdiff can gate service regressions the same way it gates decoder
-// micro-benchmarks.
+// and records service-level latency into a benchjson-schema report (-out).
+// The daemon, chaos and flight smoke scripts assert on that report; the
+// service's benchmarked latency is surfbench's epoch workload.
 //
 // Open-loop means arrivals do not wait for completions: interarrival gaps are
 // drawn exponentially from -rate and each transfer is submitted on its own
@@ -24,12 +24,12 @@
 //	         [-tenants 2] [-seed 1] [-poll 5ms] [-timeout 120s]
 //	         [-retry] [-retry-max 5] [-retry-cap 2s]
 //	         [-deadline D] [-retry-budget N] [-sample-traces N]
-//	         [-out BENCH_service.json]
+//	         [-out report.json]
 //
 // With -sample-traces N the driver pulls GET /v1/transfers/{id}/trace for the
 // N slowest completions after the run and folds their per-segment latency
 // attribution (queue_wait, plan, execute, retry_backoff, fault_stall) into
-// the report's extras — the incident-debugging view, ledgered.
+// the report's extras — the incident-debugging view.
 package main
 
 import (
@@ -83,8 +83,8 @@ type networkInfo struct {
 	} `json:"nodes"`
 }
 
-// benchmark and report mirror cmd/benchjson's schema, so BENCH_service.json
-// diffs under the same cmd/benchdiff gate as the micro-benchmark ledgers.
+// benchmark and report mirror cmd/benchjson's schema, so the report reads
+// with the same tools as the micro-benchmark ledger.
 type benchmark struct {
 	Name       string             `json:"name"`
 	Procs      int                `json:"procs"`

@@ -16,8 +16,12 @@
 //	GET  /v1/network               the owned network snapshot
 //	GET  /v1/faults                live fault-plane snapshot
 //	POST /v1/faults                swap the live fault scenario (400 on invalid)
-//	GET  /debug/bundle             one-shot incident snapshot
+//	GET  /debug/bundle             one-shot incident snapshot, with the
+//	                               last 32 terminal flights
 //	GET  /metrics /healthz /readyz /status /debug/pprof/   ops plane
+//
+// Every transfer records its complete flight (at most 65 events, bounded by
+// the retry cap); cmd/traceview renders a trace or a bundle.
 //
 // Lifecycle: /readyz stays 503 until the daemon owns network state and the
 // API routes are mounted; SIGINT/SIGTERM flips /readyz back to 503 and drains
@@ -100,8 +104,6 @@ func run() (exit int) {
 	faultReplanThreshold := flag.Int("fault-replan-threshold", 0, "outage events before a forced re-plan (0: default 4, negative: never)")
 	planBudget := flag.Duration("plan-budget", 0, "LP plan wall-clock budget; exceeding it trips the greedy circuit breaker (0: no budget)")
 	breakerCooldown := flag.Int("breaker-cooldown", 0, "epochs the circuit breaker stays open (0: default 4)")
-	flightEvents := flag.Int("flight-events", 0, "per-transfer flight-recorder event ring size (0: default 64, negative: disable flight recording)")
-	flightRetain := flag.Int("flight-retain", 0, "terminal flights retained for /debug/bundle (0: default 32)")
 	var obs cliutil.Observability
 	obs.DeferReady = true // not ready until the engine owns state and routes are up
 	obs.Register(flag.CommandLine)
@@ -175,8 +177,6 @@ func run() (exit int) {
 		FaultReplanThreshold: *faultReplanThreshold,
 		PlanBudget:           *planBudget,
 		BreakerCooldown:      *breakerCooldown,
-		FlightEvents:         *flightEvents,
-		FlightRetain:         *flightRetain,
 	})
 	if err != nil {
 		slog.Error("surfnetd: building service", "err", err)

@@ -1,26 +1,43 @@
-// Command traceview analyzes a JSONL event trace written by -trace-out: it
-// reconstructs the span trees of every traced communication
-// (transfer→epoch→slot→decode), reports a per-stage latency breakdown —
-// total and self time (self = a span's duration minus its children's), and
-// p50/p90/p99 over span durations in slots — extracts the critical path of
-// the slowest transfer, and lists the top-K slowest spans per stage.
+// Command traceview renders every trace SurfNet writes, sniffing which kind
+// its input is:
 //
-// Durations in the deterministic trace are measured in slots, the engine's
-// causal clock; wall-clock latency lives in the telemetry histograms
-// (<stage>_wall_seconds in -metrics-out and /metrics), not in the trace.
+//   - a JSONL event trace written by -trace-out (lines with an "event" key):
+//     it reconstructs the span trees of every traced communication
+//     (transfer→epoch→slot→decode), reports a per-stage latency breakdown —
+//     total and self time (self = a span's duration minus its children's),
+//     and p50/p90/p99 over span durations in slots — extracts the critical
+//     path of the slowest transfer, and lists the top-K slowest spans per
+//     stage;
+//   - a flight trace from surfnetd's GET /v1/transfers/{id}/trace (an
+//     "events" array): it renders the transfer's event timeline and latency
+//     attribution — where its admission-to-terminal wall time went
+//     (queue_wait, plan, execute, retry_backoff, fault_stall);
+//   - a GET /debug/bundle document (a "flights" array): it renders every
+//     bundled flight, slowest first, plus a cross-flight attribution rollup.
+//
+// Durations in the deterministic span trace are measured in slots, the
+// engine's causal clock; wall-clock latency lives in the telemetry histograms
+// (<stage>_wall_seconds in -metrics-out and /metrics) and in flight traces.
 //
 // Usage:
 //
 //	surfnetsim -fig 6a -trace-out trace.jsonl
-//	traceview trace.jsonl            # table report
-//	traceview -json trace.jsonl      # machine-readable report
+//	traceview trace.jsonl            # span report
+//	traceview -json trace.jsonl      # machine-readable span report
 //	traceview -top 10 trace.jsonl    # deeper slow-span listing
+//	curl -s localhost:8080/debug/bundle | traceview         # incident view
+//	curl -s localhost:8080/v1/transfers/t-3/trace > tr.json
+//	traceview tr.json                # one flight
+//	traceview -json bundle.json      # re-emit the parsed flights
+//	traceview -top 3 bundle.json     # only the 3 slowest flights
+//	traceview -id t-3 bundle.json    # one flight of a bundle
 //
-// With no file argument the trace is read from stdin.
+// With no file argument the input is read from stdin.
 package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -376,14 +393,15 @@ func main() {
 func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("traceview", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	asJSON := fs.Bool("json", false, "emit the report as JSON instead of a table")
-	topK := fs.Int("top", 5, "how many critical paths and slowest spans per stage to keep")
+	asJSON := fs.Bool("json", false, "emit the span report, or the parsed flights, as JSON instead of tables")
+	topK := fs.Int("top", 5, "span traces: how many critical paths and slowest spans per stage to keep; flights: show only the N slowest (default: all)")
+	id := fs.String("id", "", "show only the flight with this transfer ID")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	in := stdin
 	if fs.NArg() > 1 {
-		fmt.Fprintln(stderr, "traceview: at most one trace file")
+		fmt.Fprintln(stderr, "traceview: at most one input file")
 		return 2
 	}
 	if fs.NArg() == 1 {
@@ -394,6 +412,25 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		}
 		defer f.Close()
 		in = f
+	}
+	in, spans, err := sniff(in)
+	if err != nil {
+		fmt.Fprintf(stderr, "traceview: %v\n", err)
+		return 1
+	}
+	if !spans {
+		// -top keeps its flight meaning: unset shows every flight.
+		topFlights := 0
+		fs.Visit(func(f *flag.Flag) {
+			if f.Name == "top" {
+				topFlights = *topK
+			}
+		})
+		return runFlights(in, stdout, stderr, *asJSON, topFlights, *id)
+	}
+	if *id != "" {
+		fmt.Fprintln(stderr, "traceview: -id selects a flight; the input is a -trace-out span trace")
+		return 2
 	}
 	forest, err := parseTrace(in)
 	if err != nil {
@@ -416,4 +453,23 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 	writeTable(stdout, rep)
 	return 0
+}
+
+// sniff reads the input's first JSON value and reports whether it is a
+// -trace-out line (an object with an "event" key) rather than a flight trace
+// or bundle document. The returned reader replays the whole input; empty
+// input counts as a span trace with no lines.
+func sniff(r io.Reader) (io.Reader, bool, error) {
+	dec := json.NewDecoder(r)
+	var first json.RawMessage
+	if err := dec.Decode(&first); err != nil {
+		if err == io.EOF {
+			return r, true, nil
+		}
+		return nil, false, fmt.Errorf("parsing input: %w", err)
+	}
+	var keys map[string]json.RawMessage
+	_ = json.Unmarshal(first, &keys) // not an object: no keys, not a span line
+	_, line := keys["event"]
+	return io.MultiReader(bytes.NewReader(first), dec.Buffered(), r), line, nil
 }

@@ -157,3 +157,132 @@ func TestRunTableAndJSON(t *testing.T) {
 		t.Fatalf("span-less trace: run = %d, want 1", code)
 	}
 }
+
+const sampleTrace = `{
+  "id": "t-1",
+  "state": "completed",
+  "retries": 1,
+  "events": [
+    {"seq": 0, "kind": "admitted", "tick": 0, "wall_ns": 1000},
+    {"seq": 1, "kind": "queue_enter", "tick": 0, "wall_ns": 2000, "detail": {"queue_depth": 1}},
+    {"seq": 2, "kind": "queue_exit", "tick": 0, "wall_ns": 5000, "detail": {"queue_depth": 0}},
+    {"seq": 3, "kind": "planned", "tick": 0, "wall_ns": 8000, "note": "warm", "detail": {"batch": 1}},
+    {"seq": 4, "kind": "terminal", "tick": 1, "wall_ns": 11000, "note": "completed"}
+  ],
+  "segments": [
+    {"class": "queue_wait", "ticks": 0, "wall_ns": 4000, "seconds": 4e-6},
+    {"class": "plan", "ticks": 0, "wall_ns": 3000, "seconds": 3e-6},
+    {"class": "execute", "ticks": 1, "wall_ns": 3000, "seconds": 3e-6}
+  ],
+  "total_ticks": 1,
+  "total_wall_ns": 10000,
+  "total_seconds": 1e-5
+}`
+
+func TestParseSniffsTraceAndBundle(t *testing.T) {
+	doc, err := parse(strings.NewReader(sampleTrace))
+	if err != nil {
+		t.Fatalf("parse trace: %v", err)
+	}
+	if len(doc.Flights) != 1 || doc.Flights[0].ID != "t-1" {
+		t.Fatalf("trace parsed to %+v", doc.Flights)
+	}
+
+	bundle := `{"status": {}, "metrics": {}, "faults": {}, "flights": [` + sampleTrace + `, ` + sampleTrace + `]}`
+	doc, err = parse(strings.NewReader(bundle))
+	if err != nil {
+		t.Fatalf("parse bundle: %v", err)
+	}
+	if len(doc.Flights) != 2 {
+		t.Fatalf("bundle parsed to %d flights, want 2", len(doc.Flights))
+	}
+
+	if _, err := parse(strings.NewReader(`{"status": {}}`)); err == nil {
+		t.Fatal("document with neither flights nor events must be an error")
+	}
+	if _, err := parse(strings.NewReader(`not json`)); err == nil {
+		t.Fatal("malformed input must be an error")
+	}
+}
+
+func TestRenderFlightTimelineAndAttribution(t *testing.T) {
+	doc, err := parse(strings.NewReader(sampleTrace))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	renderFlight(&sb, doc.Flights[0])
+	out := sb.String()
+	for _, want := range []string{
+		"flight t-1", "state=completed", "retries=1",
+		"admitted", "queue_enter", "planned", "terminal",
+		"warm", "queue_depth=1",
+		"attribution", "queue_wait", "plan", "execute", "40.0%",
+	} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("rendered flight missing %q:\n%s", want, out)
+		}
+	}
+	// The timeline renders relative to the flight's first event: the
+	// terminal event lands at exactly the total wall time.
+	if !strings.Contains(out, "0.010ms") {
+		t.Fatalf("terminal event not at t+total:\n%s", out)
+	}
+}
+
+func TestRenderRollupSumsFlights(t *testing.T) {
+	doc, err := parse(strings.NewReader(sampleTrace))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	renderRollup(&sb, []flightTrace{doc.Flights[0], doc.Flights[0]})
+	out := sb.String()
+	if !strings.Contains(out, "2 flights") || !strings.Contains(out, "0.020ms") {
+		t.Fatalf("rollup wrong:\n%s", out)
+	}
+	if !strings.Contains(out, "queue_wait") || !strings.Contains(out, "0.008ms") {
+		t.Fatalf("rollup missing summed queue_wait:\n%s", out)
+	}
+}
+
+// TestRunSniffsFlightInputs drives the CLI entry on the two flight document
+// kinds: a bare trace and a bundle render as flights, -id and -top select
+// among bundled flights, and -id on a span trace is a usage error.
+func TestRunSniffsFlightInputs(t *testing.T) {
+	var out, errb bytes.Buffer
+	if code := run(nil, strings.NewReader(sampleTrace), &out, &errb); code != 0 {
+		t.Fatalf("run(trace) = %d, stderr: %s", code, errb.String())
+	}
+	if !strings.HasPrefix(out.String(), "flight t-1  state=completed") || strings.Contains(out.String(), "rollup") {
+		t.Fatalf("bare trace rendered as:\n%s", out.String())
+	}
+
+	other := strings.Replace(strings.Replace(sampleTrace, `"t-1"`, `"t-2"`, 1), `"total_wall_ns": 10000`, `"total_wall_ns": 20000`, 1)
+	bundle := `{"status": {}, "metrics": {}, "faults": {}, "flights": [` + sampleTrace + `, ` + other + `]}`
+	out.Reset()
+	if code := run(nil, strings.NewReader(bundle), &out, &errb); code != 0 {
+		t.Fatalf("run(bundle) = %d, stderr: %s", code, errb.String())
+	}
+	text := out.String()
+	if i, j := strings.Index(text, "flight t-2"), strings.Index(text, "flight t-1"); i < 0 || j < i || !strings.Contains(text, "rollup over 2 flights") {
+		t.Fatalf("bundle must render slowest first, then the rollup:\n%s", text)
+	}
+
+	for _, args := range [][]string{{"-id", "t-1"}, {"-top", "1"}} {
+		out.Reset()
+		if code := run(append(args, "-json"), strings.NewReader(bundle), &out, &errb); code != 0 {
+			t.Fatalf("run(%v) = %d, stderr: %s", args, code, errb.String())
+		}
+		var flights []flightTrace
+		if err := json.Unmarshal(out.Bytes(), &flights); err != nil || len(flights) != 1 {
+			t.Fatalf("run(%v -json) = %d flights (%v):\n%s", args, len(flights), err, out.String())
+		}
+	}
+	if code := run([]string{"-id", "t-9"}, strings.NewReader(bundle), &out, &errb); code != 1 {
+		t.Fatalf("unknown -id: run = %d, want 1", code)
+	}
+	if code := run([]string{"-id", "t-1"}, strings.NewReader(buildTrace(t)), &out, &errb); code != 2 {
+		t.Fatalf("-id on a span trace: run = %d, want 2", code)
+	}
+}

@@ -2,6 +2,7 @@ package faults
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"surfnet/internal/rng"
@@ -112,4 +113,28 @@ func TestParseScriptRoundTrip(t *testing.T) {
 			t.Fatalf("ParseScript(%q) must fail", bad)
 		}
 	}
+}
+
+// FuzzScriptRoundTrip checks the script text form against itself: any string
+// ParseScript accepts must format with FormatScript to a string that parses
+// back to the same entries and formats identically (the canonical form is a
+// fixed point). Its seed corpus is in testdata/fuzz/FuzzScriptRoundTrip.
+func FuzzScriptRoundTrip(f *testing.F) {
+	f.Fuzz(func(t *testing.T, arg string) {
+		script, err := ParseScript(arg)
+		if err != nil {
+			return
+		}
+		text := FormatScript(script)
+		again, err := ParseScript(text)
+		if err != nil {
+			t.Fatalf("ParseScript(%q) accepted; its format %q does not parse: %v", arg, text, err)
+		}
+		if !reflect.DeepEqual(again, script) {
+			t.Fatalf("ParseScript(%q) = %+v; its format %q parses to %+v", arg, script, text, again)
+		}
+		if got := FormatScript(again); got != text {
+			t.Fatalf("format of %q is %q, not a fixed point (%q)", arg, text, got)
+		}
+	})
 }

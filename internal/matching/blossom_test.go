@@ -1,6 +1,7 @@
 package matching
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -282,6 +283,43 @@ func TestIntegerWeightsDegenerate(t *testing.T) {
 			t.Fatalf("trial %d (n=%d): got %v, want %v", trial, n, got, want)
 		}
 	}
+}
+
+// FuzzBlossom checks MinWeightPerfect against the bruteForce oracle on small
+// graphs decoded from the input: the first byte picks n in [0,10], and each
+// following byte triple is an edge (u, v, weight) with endpoints taken mod n
+// and an integer weight 0–255 (self-loops skipped; parallel edges kept). The
+// matcher must return a valid perfect matching of the oracle's weight, and
+// ErrNoPerfectMatching exactly when the oracle finds none. Its seed corpus
+// is in testdata/fuzz/FuzzBlossom.
+func FuzzBlossom(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		n := int(data[0]) % 11
+		var edges []Edge
+		for i := 1; n > 0 && i+2 < len(data) && len(edges) < 64; i += 3 {
+			u, v := int(data[i])%n, int(data[i+1])%n
+			if u != v {
+				edges = append(edges, Edge{U: u, V: v, Weight: float64(data[i+2])})
+			}
+		}
+		want := bruteForce(n, edges)
+		mate, total, err := MinWeightPerfect(n, edges)
+		if math.IsInf(want, 1) {
+			if !errors.Is(err, ErrNoPerfectMatching) {
+				t.Fatalf("n=%d edges=%v: no perfect matching exists, matcher returned %v, %v", n, edges, mate, err)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("n=%d edges=%v: matcher failed on a feasible graph: %v", n, edges, err)
+		}
+		if got := checkMatching(t, n, edges, mate); got != want || total != want {
+			t.Fatalf("n=%d edges=%v: matching weighs %v (reported %v), want %v", n, edges, got, total, want)
+		}
+	})
 }
 
 func TestLargeSmoke(t *testing.T) {

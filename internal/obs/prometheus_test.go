@@ -13,8 +13,10 @@ func TestWritePrometheusRendersAllInstrumentKinds(t *testing.T) {
 	reg.Counter("sim.trials").Add(42)
 	reg.Counter("core.timeouts").Inc()
 	reg.Gauge("net.active-links").Set(3.5)
-	h := reg.Histogram("decoder.surfnet.decode_seconds", []float64{0.001, 0.01})
-	h.Observe(0.0005)
+	// One sub-bucket per octave: bucket upper bounds 0.002, 0.004, 0.008,
+	// 0.016, then the overflow bucket.
+	h := reg.HDR("decoder.surfnet.decode_seconds", telemetry.HDRSpec{Min: 0.001, SubBuckets: 1, Octaves: 4})
+	h.Observe(0.0005) // below Min: bucket 0
 	h.Observe(0.005)
 	h.Observe(99) // overflow bucket
 
@@ -31,9 +33,10 @@ func TestWritePrometheusRendersAllInstrumentKinds(t *testing.T) {
 		"# TYPE surfnet_net_active_links gauge\n" +
 			"surfnet_net_active_links 3.5\n",
 		"# TYPE surfnet_decoder_surfnet_decode_seconds histogram\n",
-		`surfnet_decoder_surfnet_decode_seconds_bucket{le="0.001"} 1` + "\n",
-		// Cumulative: the 0.01 bucket includes the 0.001 bucket's observation.
-		`surfnet_decoder_surfnet_decode_seconds_bucket{le="0.01"} 2` + "\n",
+		`surfnet_decoder_surfnet_decode_seconds_bucket{le="0.002"} 1` + "\n",
+		// Cumulative: the 0.008 bucket includes the 0.002 bucket's
+		// observation, and the empty 0.004 bucket is elided.
+		`surfnet_decoder_surfnet_decode_seconds_bucket{le="0.008"} 2` + "\n",
 		`surfnet_decoder_surfnet_decode_seconds_bucket{le="+Inf"} 3` + "\n",
 		"surfnet_decoder_surfnet_decode_seconds_count 3\n",
 	}
@@ -41,6 +44,9 @@ func TestWritePrometheusRendersAllInstrumentKinds(t *testing.T) {
 		if !strings.Contains(out, w) {
 			t.Errorf("exposition missing %q\ngot:\n%s", w, out)
 		}
+	}
+	if strings.Contains(out, `le="0.004"`) {
+		t.Errorf("empty bucket not elided:\n%s", out)
 	}
 	if strings.Contains(out, "-") || strings.Contains(out, ".decode") {
 		t.Errorf("unsanitized metric name in exposition:\n%s", out)
@@ -54,7 +60,7 @@ func TestWritePrometheusEveryInstrumentAppears(t *testing.T) {
 		reg.Counter(n).Inc()
 	}
 	reg.Gauge("g.one").Set(1)
-	reg.Histogram("h.one", []float64{1}).Observe(0.5)
+	reg.HDR("h.one", telemetry.CountSpec).Observe(0.5)
 
 	var b strings.Builder
 	if err := WritePrometheus(&b, reg.Snapshot()); err != nil {

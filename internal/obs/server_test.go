@@ -152,7 +152,7 @@ func TestConcurrentScrapeWhileMutating(t *testing.T) {
 			cell := tracker.StartCell(fmt.Sprintf("cell-%d", w), iters)
 			c := reg.Counter("sim.trials")
 			g := reg.Gauge("net.load")
-			h := reg.Histogram("decode.seconds", []float64{0.01, 0.1})
+			h := reg.HDR("decode.seconds", telemetry.WallLatencySpec)
 			for i := 0; i < iters; i++ {
 				c.Inc()
 				g.Set(float64(i))

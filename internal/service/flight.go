@@ -1,10 +1,6 @@
 package service
 
-import (
-	"fmt"
-
-	"surfnet/internal/telemetry"
-)
+import "surfnet/internal/telemetry"
 
 // Latency attribution decomposes a transfer's admission-to-terminal wall time
 // into named segments by walking its flight events in order. Segments are
@@ -12,7 +8,7 @@ import (
 // and charges it to exactly one class, so the per-class sums always add up to
 // the transfer's total wall time to the nanosecond — no double counting, no
 // unattributed gaps (the "±1 tick" acceptance bound is conservative; the
-// implementation is exact over the retained event window).
+// implementation is exact, because a flight keeps every event it records).
 
 // Segment classes. Every nanosecond between a flight's first and last event
 // lands in exactly one of these.
@@ -32,15 +28,11 @@ const (
 	// was fault-coincident: time lost waiting out an outage, not the
 	// transfer's own backoff policy.
 	SegFaultStall = "fault_stall"
-	// SegTruncated covers the window a flight's bounded ring has evicted:
-	// only the interval from admission to the oldest retained event, and only
-	// when events were dropped.
-	SegTruncated = "truncated"
 )
 
 // segmentClasses is the canonical order segments render in.
 var segmentClasses = [...]string{
-	SegQueueWait, SegPlan, SegExecute, SegRetryBackoff, SegFaultStall, SegTruncated,
+	SegQueueWait, SegPlan, SegExecute, SegRetryBackoff, SegFaultStall,
 }
 
 // attribution is the per-class accumulation for one flight.
@@ -49,21 +41,14 @@ type attribution struct {
 	ticks  map[string]int64
 }
 
-// attribute walks a flight's retained events and charges every inter-event
-// interval to a segment class. firstWall/firstTick are the flight's first
-// event stamps (they survive ring eviction); when the ring has dropped events
-// the gap from admission to the oldest retained event lands in SegTruncated.
-func attribute(events []telemetry.FlightEvent, firstWall, firstTick int64, dropped int) attribution {
+// attribute walks a flight's events and charges every inter-event interval,
+// from the first event (admission) on, to a segment class.
+func attribute(events []telemetry.FlightEvent) attribution {
 	a := attribution{wallNs: make(map[string]int64), ticks: make(map[string]int64)}
 	if len(events) == 0 {
 		return a
 	}
-	prevWall, prevTick := firstWall, firstTick
-	if dropped > 0 {
-		a.wallNs[SegTruncated] = events[0].WallNs - firstWall
-		a.ticks[SegTruncated] = events[0].Tick - firstTick
-		prevWall, prevTick = events[0].WallNs, events[0].Tick
-	}
+	prevWall, prevTick := events[0].WallNs, events[0].Tick
 	// pendingWait classifies time spent off-epoch (queued or backing off);
 	// it flips from queue_wait to retry_backoff/fault_stall after the first
 	// retry_scheduled. inAttempt and sawExec track where inside an attempt
@@ -148,10 +133,8 @@ type FlightTrace struct {
 	FailureClass string `json:"failure_class,omitempty"`
 	Epoch        int64  `json:"epoch,omitempty"`
 	Retries      int    `json:"retries,omitempty"`
-	// Events is the retained timeline, oldest first, gap-free in seq over
-	// the retained window; DroppedEvents counts ring evictions.
-	Events        []TraceEvent `json:"events"`
-	DroppedEvents int          `json:"dropped_events,omitempty"`
+	// Events is the full timeline, oldest first, gap-free in seq.
+	Events []TraceEvent `json:"events"`
 	// Segments attribute the admission-to-latest-event interval; their
 	// WallNs values sum exactly to TotalWallNs.
 	Segments     []Segment `json:"segments"`
@@ -182,20 +165,21 @@ func eventDetail(ev telemetry.FlightEvent) map[string]int64 {
 	return nil
 }
 
-// buildTrace renders a flight snapshot plus its transfer status into the wire
-// form. The status may be the zero value when the transfer record is gone.
-func buildTrace(snap telemetry.FlightSnapshot, firstWall, firstTick int64, st TransferStatus) FlightTrace {
+// trace renders a transfer's flight plus its status into the wire form. The
+// caller holds s.mu, which guards the status.
+func (t *transfer) trace() FlightTrace {
+	events := t.flight.Events()
+	st := t.status
 	tr := FlightTrace{
-		ID:            snap.ID,
-		Tenant:        st.Tenant,
-		State:         st.State,
-		FailureClass:  st.FailureClass,
-		Epoch:         st.Epoch,
-		Retries:       st.Retries,
-		Events:        make([]TraceEvent, 0, len(snap.Events)),
-		DroppedEvents: snap.Dropped,
+		ID:           st.ID,
+		Tenant:       st.Tenant,
+		State:        st.State,
+		FailureClass: st.FailureClass,
+		Epoch:        st.Epoch,
+		Retries:      st.Retries,
+		Events:       make([]TraceEvent, 0, len(events)),
 	}
-	for _, ev := range snap.Events {
+	for _, ev := range events {
 		tr.Events = append(tr.Events, TraceEvent{
 			Seq:    ev.Seq,
 			Kind:   ev.Kind.String(),
@@ -205,19 +189,19 @@ func buildTrace(snap telemetry.FlightSnapshot, firstWall, firstTick int64, st Tr
 			Detail: eventDetail(ev),
 		})
 	}
-	a := attribute(snap.Events, firstWall, firstTick, snap.Dropped)
+	a := attribute(events)
 	for _, class := range segmentClasses {
-		w, t := a.wallNs[class], a.ticks[class]
-		if w == 0 && t == 0 {
+		w, ticks := a.wallNs[class], a.ticks[class]
+		if w == 0 && ticks == 0 {
 			continue
 		}
 		tr.Segments = append(tr.Segments, Segment{
-			Class: class, Ticks: t, WallNs: w, Seconds: float64(w) / 1e9,
+			Class: class, Ticks: ticks, WallNs: w, Seconds: float64(w) / 1e9,
 		})
 	}
-	if n := len(snap.Events); n > 0 {
-		tr.TotalWallNs = snap.Events[n-1].WallNs - firstWall
-		tr.TotalTicks = snap.Events[n-1].Tick - firstTick
+	if n := len(events); n > 0 {
+		tr.TotalWallNs = events[n-1].WallNs - events[0].WallNs
+		tr.TotalTicks = events[n-1].Tick - events[0].Tick
 		tr.TotalSeconds = float64(tr.TotalWallNs) / 1e9
 	}
 	return tr
@@ -225,8 +209,7 @@ func buildTrace(snap telemetry.FlightSnapshot, firstWall, firstTick int64, st Tr
 
 // Trace returns a transfer's flight timeline and latency attribution. It
 // works for live and terminal transfers alike (a live transfer's trace ends
-// at its most recent event). ErrUnknownTransfer maps to 404; so does flight
-// recording being disabled.
+// at its most recent event). ErrUnknownTransfer maps to 404.
 func (s *Service) Trace(id string) (FlightTrace, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -234,20 +217,12 @@ func (s *Service) Trace(id string) (FlightTrace, error) {
 	if !ok {
 		return FlightTrace{}, ErrUnknownTransfer
 	}
-	if t.flight == nil {
-		return FlightTrace{}, fmt.Errorf("%w: flight recording disabled", ErrUnknownTransfer)
-	}
-	snap := telemetry.FlightSnapshot{
-		ID:      t.flight.ID(),
-		Events:  t.flight.Events(),
-		Dropped: t.flight.Dropped(),
-	}
-	return buildTrace(snap, t.flight.StartWallNs(), t.flight.StartTick(), t.status), nil
+	return t.trace(), nil
 }
 
 // DebugBundle is the GET /debug/bundle response: one-shot incident snapshot
 // bundling the service status, the full metrics registry, the live fault
-// plane, and the last-N terminal flights with attribution.
+// plane, and the last bundleFlights terminal flights with attribution.
 type DebugBundle struct {
 	Status  Status             `json:"status"`
 	Metrics telemetry.Snapshot `json:"metrics"`
@@ -256,7 +231,7 @@ type DebugBundle struct {
 }
 
 // Bundle assembles the incident snapshot. Metrics are empty when the service
-// runs without a registry; Flights when flight recording is disabled.
+// runs without a registry.
 func (s *Service) Bundle() DebugBundle {
 	b := DebugBundle{
 		Status: s.Status(),
@@ -265,23 +240,16 @@ func (s *Service) Bundle() DebugBundle {
 	if s.cfg.Metrics != nil {
 		b.Metrics = s.cfg.Metrics.Snapshot()
 	}
-	snaps := s.recorder.Recent()
-	b.Flights = make([]FlightTrace, 0, len(snaps))
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, snap := range snaps {
-		var st TransferStatus
-		var firstWall, firstTick int64
-		if t, ok := s.transfers[snap.ID]; ok {
-			st = t.status
-			firstWall, firstTick = t.flight.StartWallNs(), t.flight.StartTick()
-		} else if len(snap.Events) > 0 {
-			// Snapshot events always start at the flight's first event
-			// unless the ring dropped some; then the earliest stamp we
-			// still have anchors the (truncated) attribution.
-			firstWall, firstTick = snap.Events[0].WallNs, snap.Events[0].Tick
+	// Oldest first: once the ring has wrapped, the cursor's slot (the next
+	// to be overwritten) holds the oldest; before that, the unfilled slots
+	// from the cursor on are nil and skipped.
+	b.Flights = make([]FlightTrace, 0, bundleFlights)
+	for i := range s.recent {
+		if t := s.recent[(s.recentNext+i)%bundleFlights]; t != nil {
+			b.Flights = append(b.Flights, t.trace())
 		}
-		b.Flights = append(b.Flights, buildTrace(snap, firstWall, firstTick, st))
 	}
 	return b
 }

@@ -4,7 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -69,9 +71,6 @@ func TestTraceRetriedThenCompletedUnderFaults(t *testing.T) {
 	}
 	if tr.ID != st.ID || tr.State != StateCompleted || tr.Retries != final.Retries {
 		t.Fatalf("trace header = %+v", tr)
-	}
-	if tr.DroppedEvents != 0 {
-		t.Fatalf("default ring dropped %d events on a %d-retry flight", tr.DroppedEvents, final.Retries)
 	}
 	// Complete ordered timeline: gap-free seqs, nondecreasing stamps,
 	// admitted first, terminal("completed") last, with the retry lifecycle
@@ -152,7 +151,7 @@ func TestAttributionClassifiesBackoffWithoutFaults(t *testing.T) {
 		{Seq: 8, Kind: telemetry.FlightExecuted, Tick: 2, WallNs: 70},
 		{Seq: 9, Kind: telemetry.FlightTerminal, Tick: 2, WallNs: 71, Note: "completed"},
 	}
-	a := attribute(events, 0, 0, 0)
+	a := attribute(events)
 	if a.wallNs[SegQueueWait] != 10 {
 		t.Fatalf("queue_wait = %d, want 10", a.wallNs[SegQueueWait])
 	}
@@ -174,27 +173,6 @@ func TestAttributionClassifiesBackoffWithoutFaults(t *testing.T) {
 	}
 }
 
-// TestFlightRecordingDisabled pins the FlightEvents<0 escape hatch: no
-// flights, traces 404, but transfers still complete with wall latency from
-// the fallback clock math.
-func TestFlightRecordingDisabled(t *testing.T) {
-	svc, subs := fixture(t, Config{FlightEvents: -1, FaultTick: -1})
-	st, err := svc.Submit(subs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	final := stepUntilTerminal(t, svc, st.ID, 5)
-	if final.State != StateCompleted || final.WallLatencySeconds <= 0 {
-		t.Fatalf("flights-off transfer = %+v", final)
-	}
-	if _, err := svc.Trace(st.ID); !errors.Is(err, ErrUnknownTransfer) {
-		t.Fatalf("Trace with recording disabled = %v, want ErrUnknownTransfer", err)
-	}
-	if got := svc.Bundle(); len(got.Flights) != 0 {
-		t.Fatalf("bundle carries %d flights with recording disabled", len(got.Flights))
-	}
-}
-
 func TestTraceUnknownTransfer(t *testing.T) {
 	svc, _ := fixture(t, Config{FaultTick: -1})
 	if _, err := svc.Trace("t-404"); !errors.Is(err, ErrUnknownTransfer) {
@@ -202,9 +180,77 @@ func TestTraceUnknownTransfer(t *testing.T) {
 	}
 }
 
+// TestFlightCompleteAtRetryCap pins the flight-length bound: a transfer at
+// the retry cap whose every attempt runs fault-coincident and fails after
+// decoding records 2 + 7×9 = 65 events, and its trace keeps all of them, so
+// the attribution covers admission to terminal with the five live classes.
+func TestFlightCompleteAtRetryCap(t *testing.T) {
+	clock := &testClock{}
+	// Every fiber crashes at once and stays down, so no code is ever
+	// delivered and every attempt fails after execution.
+	svc, subs := fixtureWith(t, &faults.Profile{FiberCrashProb: 1, FiberRepairSlots: 100000}, Config{
+		FaultTick:   -1,
+		FlightClock: clock.Now,
+	})
+	sub := subs[0]
+	// A live outage of a bystander user node makes every attempt
+	// fault-coincident without cutting the transfer's own path.
+	bystander := -1
+	for _, other := range subs[1:] {
+		for _, v := range []int{other.Src, other.Dst} {
+			if bystander < 0 && v != sub.Src && v != sub.Dst {
+				bystander = v
+			}
+		}
+	}
+	if err := svc.SetFaultProfile(faults.Profile{DownNodes: []int{bystander}}); err != nil {
+		t.Fatal(err)
+	}
+	sub.RetryBudget = maxRetryBudget
+	st, err := svc.Submit(sub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	final := stepUntilTerminal(t, svc, st.ID, 100)
+	if final.State != StateFailed || final.Retries != maxRetryBudget {
+		t.Fatalf("final = %+v, want failed after %d retries", final, maxRetryBudget)
+	}
+	tr, err := svc.Trace(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.Events) != 65 {
+		t.Fatalf("trace holds %d events, want 2 + 7×9 = 65", len(tr.Events))
+	}
+	for i, ev := range tr.Events {
+		if ev.Seq != uint64(i) {
+			t.Fatalf("event %d has seq %d", i, ev.Seq)
+		}
+	}
+	if first, last := tr.Events[0], tr.Events[64]; first.Kind != "admitted" || last.Kind != "terminal" {
+		t.Fatalf("trace runs %q .. %q, want admitted .. terminal", first.Kind, last.Kind)
+	}
+	var sum int64
+	for _, seg := range tr.Segments {
+		switch seg.Class {
+		case SegQueueWait, SegPlan, SegExecute, SegRetryBackoff, SegFaultStall:
+		default:
+			t.Fatalf("segment class %q outside the five live classes", seg.Class)
+		}
+		sum += seg.WallNs
+	}
+	if sum != tr.TotalWallNs {
+		t.Fatalf("segments sum to %dns, total is %dns", sum, tr.TotalWallNs)
+	}
+	if final.WallLatencySeconds != tr.TotalSeconds || tr.TotalSeconds != float64(tr.TotalWallNs)/1e9 {
+		t.Fatalf("status wall %.9fs, trace total %.9fs (%dns)", final.WallLatencySeconds, tr.TotalSeconds, tr.TotalWallNs)
+	}
+}
+
 // TestWorkerInvarianceWithFlights pins the side-effect-freedom contract:
 // identical admission + fault timelines produce identical terminal outcomes
-// whether flight recording is on or off, and for every worker count.
+// and identical flight timelines (every event but its wall stamp) for every
+// worker count.
 func TestWorkerInvarianceWithFlights(t *testing.T) {
 	profile := &faults.Profile{
 		FiberCrashProb:   0.05,
@@ -216,14 +262,14 @@ func TestWorkerInvarianceWithFlights(t *testing.T) {
 		Accepted, Delivered, Success int
 		Retries                      int
 		Epoch                        int64
+		Timeline                     string
 	}
-	run := func(workers, flightEvents int) map[string]outcome {
+	run := func(workers int) map[string]outcome {
 		svc, subs := fixture(t, Config{
-			Workers:      workers,
-			EpochMax:     2,
-			FaultTick:    -1,
-			Faults:       profile,
-			FlightEvents: flightEvents,
+			Workers:   workers,
+			EpochMax:  2,
+			FaultTick: -1,
+			Faults:    profile,
 		})
 		var ids []string
 		for _, sub := range subs {
@@ -249,26 +295,30 @@ func TestWorkerInvarianceWithFlights(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			tr, err := svc.Trace(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var timeline strings.Builder
+			for _, ev := range tr.Events {
+				fmt.Fprintf(&timeline, "%d:%s@%d/%s%v;", ev.Seq, ev.Kind, ev.Tick, ev.Note, ev.Detail)
+			}
 			got[id] = outcome{
 				State: st.State, Class: st.FailureClass,
 				Accepted: st.AcceptedCodes, Delivered: st.DeliveredCodes,
 				Success: st.SuccessCodes, Retries: st.Retries, Epoch: st.Epoch,
+				Timeline: timeline.String(),
 			}
 		}
 		return got
 	}
-	base := run(1, 0) // flights on, default ring
-	for _, tc := range []struct{ workers, flightEvents int }{
-		{4, 0},  // flights on, wide pool
-		{1, -1}, // flights off
-		{4, -1}, // flights off, wide pool
-		{2, 4},  // tiny ring forcing eviction mid-flight
-	} {
-		got := run(tc.workers, tc.flightEvents)
+	base := run(1)
+	for _, workers := range []int{2, 4} {
+		got := run(workers)
 		for id, want := range base {
 			if got[id] != want {
-				t.Fatalf("workers=%d flights=%d: transfer %s = %+v, want %+v",
-					tc.workers, tc.flightEvents, id, got[id], want)
+				t.Fatalf("workers=%d: transfer %s = %+v, want %+v (1 worker)",
+					workers, id, got[id], want)
 			}
 		}
 	}
@@ -464,6 +514,38 @@ func TestHTTPTraceAndBundle(t *testing.T) {
 	}
 	if len(bundle.Metrics.Counters) == 0 {
 		t.Fatal("bundle metrics snapshot empty")
+	}
+}
+
+// TestBundleCarriesLastTerminalFlights pins the incident window: once more
+// than bundleFlights transfers are terminal, /debug/bundle carries exactly
+// the most recent bundleFlights of them, oldest first, each a complete
+// flight from admitted to terminal.
+func TestBundleCarriesLastTerminalFlights(t *testing.T) {
+	svc, subs := fixture(t, Config{EpochMax: 4, FaultTick: -1})
+	const n = bundleFlights + 8
+	for i := 0; i < n; i++ {
+		if _, err := svc.Submit(subs[i%len(subs)]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := svc.drain(); err != nil {
+		t.Fatal(err)
+	}
+	flights := svc.Bundle().Flights
+	if len(flights) != bundleFlights {
+		t.Fatalf("bundle carries %d flights, want %d", len(flights), bundleFlights)
+	}
+	// Epochs take the queue in admission order and, with no retry budget,
+	// every attempt is terminal, so the window is the last bundleFlights
+	// admissions.
+	for i, tr := range flights {
+		if want := fmt.Sprintf("t-%d", n-bundleFlights+1+i); tr.ID != want {
+			t.Fatalf("flight %d is %s, want %s (oldest first)", i, tr.ID, want)
+		}
+		if tr.Events[0].Kind != "admitted" || tr.Events[len(tr.Events)-1].Kind != "terminal" {
+			t.Fatalf("%s runs %q .. %q", tr.ID, tr.Events[0].Kind, tr.Events[len(tr.Events)-1].Kind)
+		}
 	}
 }
 

@@ -59,6 +59,11 @@ var (
 // Retry and degraded-mode bounds.
 const (
 	// maxRetryBudget caps the per-transfer retry budget a client may request.
+	// It also bounds a transfer's flight: admitted and queue_enter, then at
+	// most 7 events per attempt (queue_exit, epoch_assigned,
+	// fault_coincident, planned, executed, decode_verdict, and either
+	// retry_scheduled or terminal), over at most maxRetryBudget+1 = 9
+	// attempts — 2 + 7×9 = 65 events.
 	maxRetryBudget = 8
 	// maxDeadlineMs is the largest deadline_ms whose time.Duration does not
 	// overflow (about 292 years); a larger value would wrap into the past.
@@ -117,13 +122,6 @@ type Config struct {
 	// tripping. Zero selects 4.
 	BreakerCooldown int
 
-	// FlightEvents bounds each transfer's flight-recorder event ring. Zero
-	// selects 64; negative disables flight recording entirely (traces and
-	// /debug/bundle flights 404, latency falls back to coarse wall math).
-	FlightEvents int
-	// FlightRetain bounds how many terminal flights the recorder keeps for
-	// /debug/bundle. Zero selects 32; negative retains none.
-	FlightRetain int
 	// FlightClock is the clock flight events and transfer deadlines read.
 	// Nil selects time.Now; tests inject a deterministic clock.
 	FlightClock func() time.Time
@@ -230,8 +228,7 @@ type transfer struct {
 	deadline    time.Time // zero: no deadline
 	retryBudget int
 	notBefore   int64 // earliest epoch a scheduled retry may run in
-	// flight is the transfer's lifecycle event ring (nil when flight
-	// recording is disabled).
+	// flight is the transfer's lifecycle event log.
 	flight *telemetry.Flight
 }
 
@@ -341,16 +338,16 @@ type Service struct {
 	wall           *telemetry.HDR
 	epochWall      *telemetry.HDR
 	queueWait      *telemetry.HDR
-	queueDepthHist *telemetry.Histogram
+	queueDepthHist *telemetry.HDR
 	// segWall holds one wall HDR per attribution segment class; tenantWall
 	// one per tenant (bounded; overflow tenants share "other").
 	segWall    map[string]*telemetry.HDR
 	tenantWall map[string]*telemetry.HDR
 
-	// recorder starts per-transfer flight event rings; nil when disabled.
-	// now is the service clock (injectable for deterministic tests).
-	recorder *telemetry.FlightRecorder
-	now      func() time.Time
+	// now is the service clock (injectable for deterministic tests);
+	// wallNs stamps flight events in nanoseconds since New.
+	now    func() time.Time
+	wallNs func() int64
 
 	wake chan struct{}
 
@@ -369,6 +366,10 @@ type Service struct {
 	faultTriggered bool
 	// breakerUntil is the first epoch the planning breaker is closed again.
 	breakerUntil int64
+	// recent rings the last bundleFlights terminal transfers for
+	// /debug/bundle; recentNext is the slot the next one lands in.
+	recent     [bundleFlights]*transfer
+	recentNext int
 	// totals mirror the registry counters so Status works without metrics.
 	totals struct {
 		admitted, completed, failed, shed       int64
@@ -422,7 +423,7 @@ func New(eng *core.Engine, pl *routing.Planner, cfg Config) (*Service, error) {
 	s.wall = reg.HDR("service.transfer_wall_seconds", telemetry.WallLatencySpec)
 	s.epochWall = reg.HDR("service.epoch_wall_seconds", telemetry.WallLatencySpec)
 	s.queueWait = reg.HDR("service.queue_wait_wall_seconds", telemetry.WallLatencySpec)
-	s.queueDepthHist = reg.Histogram("service.queue_depth_sampled", telemetry.ExpBuckets(1, 2, 13))
+	s.queueDepthHist = reg.HDR("service.queue_depth_sampled", telemetry.CountSpec)
 	s.segWall = make(map[string]*telemetry.HDR, len(segmentClasses))
 	for _, class := range segmentClasses {
 		s.segWall[class] = reg.HDR("service.segment_"+class+"_wall_seconds", telemetry.WallLatencySpec)
@@ -432,9 +433,8 @@ func New(eng *core.Engine, pl *routing.Planner, cfg Config) (*Service, error) {
 	if s.now == nil {
 		s.now = time.Now
 	}
-	if cfg.FlightEvents >= 0 {
-		s.recorder = telemetry.NewFlightRecorder(cfg.FlightEvents, cfg.FlightRetain, cfg.FlightClock)
-	}
+	origin := s.now()
+	s.wallNs = func() int64 { return int64(s.now().Sub(origin)) }
 	s.totals.failedByClass = make(map[string]int64)
 	var profile faults.Profile
 	if cfg.Faults != nil {
@@ -499,7 +499,7 @@ func (s *Service) Submit(req TransferRequest) (TransferStatus, error) {
 	}
 	s.queue = append(s.queue, t)
 	s.transfers[t.status.ID] = t
-	t.flight = s.recorder.Start(t.status.ID)
+	t.flight = telemetry.NewFlight(s.wallNs)
 	t.flight.Record(telemetry.FlightAdmitted, s.epoch, 0, 0, 0, "")
 	t.flight.Record(telemetry.FlightQueueEnter, s.epoch, int64(len(s.queue)), 0, 0, "")
 	tn.Admitted++
@@ -523,16 +523,25 @@ func (s *Service) Get(id string) (TransferStatus, error) {
 }
 
 // tenantLocked returns the accounting record for a tenant, creating it on
-// first sight. The empty tenant is tracked as "default".
+// first sight. The empty tenant is tracked as "default"; once maxTenants
+// names have records, further names share "other", so shed submissions with
+// ever-new tenant names cannot grow /status without bound.
 func (s *Service) tenantLocked(name string) *TenantStats {
 	if name == "" {
 		name = "default"
 	}
 	st, ok := s.tenants[name]
-	if !ok {
-		st = &TenantStats{}
-		s.tenants[name] = st
+	if ok {
+		return st
 	}
+	if len(s.tenants) >= maxTenants {
+		name = "other"
+		if st, ok = s.tenants[name]; ok {
+			return st
+		}
+	}
+	st = &TenantStats{}
+	s.tenants[name] = st
 	return st
 }
 
@@ -1000,33 +1009,30 @@ func (s *Service) finalizeFailureLocked(t *transfer, epoch int64, class, msg str
 	}
 }
 
+// bundleFlights is how many of the most recent terminal transfers
+// /debug/bundle carries.
+const bundleFlights = 32
+
 // terminalFlightLocked stamps a transfer's terminal flight event, derives its
 // admission-to-terminal wall latency from the flight's own stamps (so /trace
 // segment sums match WallLatencySeconds exactly), feeds the per-segment wall
-// HDRs, and retires the flight into the recorder's incident window. With
-// flight recording disabled it falls back to coarse clock math.
+// HDRs, and rings the transfer into the incident bundle's window.
 func (s *Service) terminalFlightLocked(t *transfer, epoch int64, note string) {
-	if t.flight == nil {
-		t.status.WallLatencySeconds = s.now().Sub(t.submitted).Seconds()
-		return
-	}
-	ev := t.flight.Record(telemetry.FlightTerminal, epoch, 0, 0, 0, note)
-	t.status.WallLatencySeconds = float64(ev.WallNs-t.flight.StartWallNs()) / 1e9
-	a := attribute(t.flight.Events(), t.flight.StartWallNs(), t.flight.StartTick(), t.flight.Dropped())
-	for class, ns := range a.wallNs {
-		if ns <= 0 {
-			continue
-		}
-		if h := s.segWall[class]; h != nil {
-			h.Observe(float64(ns) / 1e9)
+	t.flight.Record(telemetry.FlightTerminal, epoch, 0, 0, 0, note)
+	events := t.flight.Events()
+	t.status.WallLatencySeconds = float64(events[len(events)-1].WallNs-events[0].WallNs) / 1e9
+	for class, ns := range attribute(events).wallNs {
+		if ns > 0 {
+			s.segWall[class].Observe(float64(ns) / 1e9)
 		}
 	}
-	s.recorder.Retire(t.flight)
+	s.recent[s.recentNext] = t
+	s.recentNext = (s.recentNext + 1) % bundleFlights
 }
 
-// maxTenantHDRs bounds per-tenant latency HDR cardinality; tenants beyond it
-// share the "other" histogram.
-const maxTenantHDRs = 32
+// maxTenants bounds per-tenant cardinality, of both the /status accounting
+// records and the latency HDRs; tenants beyond it share "other".
+const maxTenants = 32
 
 // tenantWallLocked returns the tenant's admission-to-completion wall HDR,
 // creating it on first sight. HDRs are keyed by the name /metrics renders, so
@@ -1041,7 +1047,7 @@ func (s *Service) tenantWallLocked(name string) *telemetry.HDR {
 	if ok {
 		return h
 	}
-	if len(s.tenantWall) >= maxTenantHDRs {
+	if len(s.tenantWall) >= maxTenants {
 		name = "other"
 		if h, ok = s.tenantWall[name]; ok {
 			return h

@@ -3,12 +3,14 @@ package service
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"surfnet/internal/core"
 	"surfnet/internal/decoder"
+	"surfnet/internal/faults"
 	"surfnet/internal/obs"
 	"surfnet/internal/rng"
 	"surfnet/internal/routing"
@@ -18,6 +20,13 @@ import (
 
 // fixture builds a service over a generated topology with two user pairs.
 func fixture(t *testing.T, cfg Config) (*Service, []TransferRequest) {
+	t.Helper()
+	return fixtureWith(t, nil, cfg)
+}
+
+// fixtureWith is fixture with an engine fault profile (nil: none), the
+// stochastic faults every epoch executes under beneath the live overlay.
+func fixtureWith(t *testing.T, engineFaults *faults.Profile, cfg Config) (*Service, []TransferRequest) {
 	t.Helper()
 	src := rng.New(9090)
 	net, err := topology.Generate(topology.DefaultParams(topology.Abundant, topology.GoodConnection), src)
@@ -30,6 +39,7 @@ func fixture(t *testing.T, cfg Config) (*Service, []TransferRequest) {
 	}
 	ecfg := core.DefaultConfig()
 	ecfg.Decoder = decoder.SurfNet{}
+	ecfg.Faults = engineFaults
 	eng, err := core.NewEngine(net, ecfg)
 	if err != nil {
 		t.Fatal(err)
@@ -132,6 +142,34 @@ func TestTenantNamesRenderOneFamily(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "surfnet_service_tenant_a_b_wall_seconds_count 2\n") {
 		t.Errorf("tenants a.b and a_b should share one histogram with 2 observations:\n%s", buf.String())
+	}
+}
+
+// TestTenantAccountingBounded pins the tenant cardinality cap: shed
+// submissions under ever-new tenant names must not grow /status without
+// bound. Names past maxTenants share one "other" record, and no shed is lost.
+func TestTenantAccountingBounded(t *testing.T) {
+	svc, subs := fixture(t, Config{QueueLimit: 1, FaultTick: -1})
+	if _, err := svc.Submit(subs[0]); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 1000; i++ {
+		sub := subs[1]
+		sub.Tenant = fmt.Sprintf("tenant-%d", i)
+		if _, err := svc.Submit(sub); err != ErrQueueFull {
+			t.Fatalf("submission %d: err = %v, want ErrQueueFull", i, err)
+		}
+	}
+	st := svc.Status()
+	if len(st.Tenants) > maxTenants+1 {
+		t.Fatalf("/status holds %d tenant records, want at most %d", len(st.Tenants), maxTenants+1)
+	}
+	var shed int64
+	for _, ts := range st.Tenants {
+		shed += ts.Shed
+	}
+	if st.Shed != 1000 || shed != st.Shed {
+		t.Fatalf("tenant sheds sum to %d, status shed %d, want 1000 each", shed, st.Shed)
 	}
 }
 

@@ -1,25 +1,20 @@
 package telemetry
 
-import (
-	"sync"
-	"time"
-)
+import "sync"
 
 // Flight recording is the request-scoped half of the observability plane:
 // where counters and HDR histograms aggregate over the whole process, a
-// Flight is one transfer's own bounded event ring — every lifecycle step
+// Flight is one transfer's own append-only event log — every lifecycle step
 // (admitted, queued, planned, executed, retried, terminal) stamped with the
 // service's tick clock (epoch number) and a monotonic wall clock, so "why was
 // *this* transfer slow" is answerable after the fact without correlating
-// global streams.
+// global streams. The log needs no eviction: its length is bounded by the
+// owner's lifecycle (the service's retry cap bounds a transfer to 65 events).
 //
-// The recorder follows the package's instrumentation contract: a nil
-// *FlightRecorder starts nil *Flights, and every method on a nil receiver is
-// a no-op, so disabling flight recording costs one branch per call site.
-// Recording only appends to the flight's own ring — it never reads or writes
+// Recording only appends to the flight's own log — it never reads or writes
 // simulation state and draws no randomness — which is what makes it provably
 // side-effect-free: deterministic outputs stay byte-identical and
-// worker-invariant with flights enabled.
+// worker-invariant with flights recorded.
 
 // FlightKind enumerates the typed lifecycle events a flight records.
 type FlightKind uint8
@@ -82,11 +77,10 @@ func (k FlightKind) String() string {
 }
 
 // FlightEvent is one recorded lifecycle event. Seq is the flight-local
-// sequence number (0-based, gap-free even when the ring has evicted older
-// events), Tick the service's causal clock (epoch number) at recording time,
-// and WallNs monotonic nanoseconds since the recorder was built. A, B, C are
-// kind-specific integer arguments and Note a kind-specific constant string —
-// no per-event allocations beyond the pre-sized ring.
+// sequence number (0-based, gap-free), Tick the service's causal clock (epoch
+// number) at recording time, and WallNs the flight clock's monotonic
+// nanoseconds. A, B, C are kind-specific integer arguments and Note a
+// kind-specific constant string.
 type FlightEvent struct {
 	Seq    uint64
 	Kind   FlightKind
@@ -98,238 +92,44 @@ type FlightEvent struct {
 	Note   string
 }
 
-// Flight is one transfer's bounded event ring. All methods are safe for
+// Flight is one transfer's append-only event log. All methods are safe for
 // concurrent use and no-ops on a nil receiver.
 type Flight struct {
-	rec *FlightRecorder
-	id  string
+	wallNs func() int64
 
-	mu        sync.Mutex
-	ring      []FlightEvent // fixed capacity, allocated once at Start
-	seq       uint64        // events recorded so far; ring keeps the last cap(ring)
-	firstWall int64         // wall stamp of event 0, surviving ring eviction
-	firstTick int64
+	mu     sync.Mutex
+	events []FlightEvent
 }
 
-// ID reports the flight's transfer ID ("" on nil).
-func (f *Flight) ID() string {
-	if f == nil {
-		return ""
-	}
-	return f.id
+// NewFlight starts an empty flight whose events are stamped by wallNs, a
+// monotonic nanosecond clock shared by every flight of one owner so their
+// stamps are comparable.
+func NewFlight(wallNs func() int64) *Flight {
+	return &Flight{wallNs: wallNs}
 }
 
-// Record appends one event, stamped with the given tick and the recorder's
-// monotonic wall clock, evicting the oldest ring entry when full. It returns
-// the stamped event so callers can reuse the stamps (e.g. to derive latency
-// without reading the clock twice); the zero FlightEvent on nil.
-func (f *Flight) Record(kind FlightKind, tick, a, b, c int64, note string) FlightEvent {
+// Record appends one event, stamped with the given tick and the flight's
+// wall clock.
+func (f *Flight) Record(kind FlightKind, tick, a, b, c int64, note string) {
 	if f == nil {
-		return FlightEvent{}
+		return
 	}
 	ev := FlightEvent{Kind: kind, Tick: tick, A: a, B: b, C: c, Note: note}
 	f.mu.Lock()
 	// Stamp under the lock: wall stamps are monotone *within a flight* in
 	// recording order, so attributed segment durations are never negative.
-	ev.WallNs = f.rec.wallNow()
-	ev.Seq = f.seq
-	if f.seq == 0 {
-		f.firstWall = ev.WallNs
-		f.firstTick = ev.Tick
-	}
-	if len(f.ring) < cap(f.ring) {
-		f.ring = append(f.ring, ev)
-	} else {
-		f.ring[f.seq%uint64(cap(f.ring))] = ev
-	}
-	f.seq++
+	ev.WallNs = f.wallNs()
+	ev.Seq = uint64(len(f.events))
+	f.events = append(f.events, ev)
 	f.mu.Unlock()
-	return ev
 }
 
-// Events returns the retained events in recording order (a fresh copy). When
-// the ring has evicted early events, the slice starts at the oldest retained
-// one; Dropped reports how many were evicted.
+// Events returns the recorded events in recording order (a fresh copy).
 func (f *Flight) Events() []FlightEvent {
 	if f == nil {
 		return nil
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	out := make([]FlightEvent, len(f.ring))
-	if f.seq <= uint64(cap(f.ring)) {
-		copy(out, f.ring)
-		return out
-	}
-	head := int(f.seq % uint64(cap(f.ring))) // oldest retained event
-	n := copy(out, f.ring[head:])
-	copy(out[n:], f.ring[:head])
-	return out
-}
-
-// Len reports how many events have been recorded in total (including any the
-// ring has since evicted).
-func (f *Flight) Len() int {
-	if f == nil {
-		return 0
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return int(f.seq)
-}
-
-// Dropped reports how many early events the bounded ring has evicted.
-func (f *Flight) Dropped() int {
-	if f == nil {
-		return 0
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.seq <= uint64(cap(f.ring)) {
-		return 0
-	}
-	return int(f.seq - uint64(cap(f.ring)))
-}
-
-// StartWallNs reports the wall stamp of the flight's first event (0 on nil or
-// before any event). It survives ring eviction, so admission-to-now latency
-// is always derivable from the latest stamp minus this one.
-func (f *Flight) StartWallNs() int64 {
-	if f == nil {
-		return 0
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.firstWall
-}
-
-// StartTick reports the tick stamp of the flight's first event (0 on nil).
-func (f *Flight) StartTick() int64 {
-	if f == nil {
-		return 0
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.firstTick
-}
-
-// FlightSnapshot is a retired flight's frozen state, retained by the recorder
-// for incident bundles.
-type FlightSnapshot struct {
-	ID      string
-	Events  []FlightEvent
-	Dropped int
-}
-
-// FlightRecorder starts flights with a shared bounded ring size and monotonic
-// clock, and retains the last N retired (terminal) flights for one-shot
-// incident snapshots. A nil recorder disables flight recording entirely.
-type FlightRecorder struct {
-	events int
-	retain int
-	now    func() time.Time
-	start  time.Time
-
-	mu     sync.Mutex
-	recent []FlightSnapshot // ring of retired flights, oldest first once full
-	next   int              // ring write cursor
-	total  int64            // flights retired so far
-}
-
-// Default sizing: 64 events comfortably covers a transfer burning the full
-// retry budget (8 attempts x ~7 events), and 32 retained flights is a useful
-// incident window without unbounded growth.
-const (
-	defaultFlightEvents = 64
-	defaultFlightRetain = 32
-)
-
-// NewFlightRecorder builds a recorder. events bounds each flight's ring (0
-// selects 64), retain bounds the retired-flight window (0 selects 32;
-// negative retains none), and now is the monotonic clock (nil selects
-// time.Now; tests inject a deterministic clock).
-func NewFlightRecorder(events, retain int, now func() time.Time) *FlightRecorder {
-	if events == 0 {
-		events = defaultFlightEvents
-	}
-	if events < 1 {
-		events = 1
-	}
-	if retain == 0 {
-		retain = defaultFlightRetain
-	}
-	if retain < 0 {
-		retain = 0
-	}
-	if now == nil {
-		now = time.Now
-	}
-	return &FlightRecorder{
-		events: events,
-		retain: retain,
-		now:    now,
-		start:  now(),
-	}
-}
-
-// wallNow reads monotonic nanoseconds since the recorder was built (0 on a
-// nil recorder, so flights of a nil recorder — which never exist — and
-// zero-value stamps stay distinguishable from real ones only by event flow).
-func (fr *FlightRecorder) wallNow() int64 {
-	if fr == nil {
-		return 0
-	}
-	return int64(fr.now().Sub(fr.start))
-}
-
-// Start begins a new flight for the given transfer ID (nil on a nil
-// recorder). The event ring is allocated once, up front.
-func (fr *FlightRecorder) Start(id string) *Flight {
-	if fr == nil {
-		return nil
-	}
-	return &Flight{rec: fr, id: id, ring: make([]FlightEvent, 0, fr.events)}
-}
-
-// Retire snapshots a terminal flight into the recorder's bounded recent
-// window. No-op on a nil recorder, a nil flight, or a zero retain bound.
-func (fr *FlightRecorder) Retire(f *Flight) {
-	if fr == nil || f == nil || fr.retain == 0 {
-		return
-	}
-	snap := FlightSnapshot{ID: f.ID(), Events: f.Events(), Dropped: f.Dropped()}
-	fr.mu.Lock()
-	if len(fr.recent) < fr.retain {
-		fr.recent = append(fr.recent, snap)
-	} else {
-		fr.recent[fr.next%fr.retain] = snap
-	}
-	fr.next = (fr.next + 1) % fr.retain
-	fr.total++
-	fr.mu.Unlock()
-}
-
-// Recent returns the retained terminal flights, oldest first (a fresh copy).
-func (fr *FlightRecorder) Recent() []FlightSnapshot {
-	if fr == nil {
-		return nil
-	}
-	fr.mu.Lock()
-	defer fr.mu.Unlock()
-	out := make([]FlightSnapshot, 0, len(fr.recent))
-	if len(fr.recent) < fr.retain || fr.next == 0 {
-		return append(out, fr.recent...)
-	}
-	out = append(out, fr.recent[fr.next:]...)
-	return append(out, fr.recent[:fr.next]...)
-}
-
-// Retired reports how many flights have been retired in total.
-func (fr *FlightRecorder) Retired() int64 {
-	if fr == nil {
-		return 0
-	}
-	fr.mu.Lock()
-	defer fr.mu.Unlock()
-	return fr.total
+	return append([]FlightEvent(nil), f.events...)
 }

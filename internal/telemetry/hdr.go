@@ -6,19 +6,19 @@ import (
 	"sync/atomic"
 )
 
-// HDR is a fixed-bucket log-linear latency histogram in the spirit of
-// HdrHistogram: the value axis is divided into octaves (powers of two above a
-// configured minimum), and each octave into a fixed number of linear
-// sub-buckets, so the bucket layout covers many decades at a bounded
+// HDR is the registry's one histogram type: a log-linear histogram in the
+// spirit of HdrHistogram. The value axis is divided into octaves (powers of
+// two above a configured minimum), and each octave into a fixed number of
+// linear sub-buckets, so the bucket layout covers many decades at a bounded
 // *relative* error — quantile estimates are within one sub-bucket, i.e.
 // within a factor of 2^(1/SubBuckets) of the true value — using a flat,
-// allocation-free array of atomic counters.
+// allocation-free array of atomic counters. Wall latencies use
+// WallLatencySpec and counts (weights, slots, queue depths) CountSpec.
 //
 // All updates are atomic and every method is a no-op (or returns the empty
 // convention) on a nil receiver, matching the package's instrumentation
 // contract. HDRs recording the same layout are mergeable across workers with
-// Merge, and Quantile supports the deep tail (p999) that the fixed
-// DurationBuckets histogram cannot resolve.
+// Merge, and Quantile resolves the deep tail (p999).
 type HDR struct {
 	spec    HDRSpec
 	buckets []atomic.Int64 // octaves*subBuckets buckets, plus one overflow
@@ -46,6 +46,12 @@ type HDRSpec struct {
 // 100ns resolution floor, 8 sub-buckets per octave (≤ ~9.1% relative
 // quantile error), 31 octaves reaching past 200s.
 var WallLatencySpec = HDRSpec{Min: 1e-7, SubBuckets: 8, Octaves: 31}
+
+// CountSpec is the repo-wide layout for non-negative counts (syndrome and
+// correction weights, latencies in slots, queue depths): zero and one share
+// bucket 0, every integer from 2 to 15 has a bucket of its own, and 16
+// octaves reach 65536.
+var CountSpec = HDRSpec{Min: 1, SubBuckets: 8, Octaves: 16}
 
 // NewHDR builds an empty histogram with the given layout.
 func NewHDR(spec HDRSpec) *HDR {

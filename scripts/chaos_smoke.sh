@@ -66,10 +66,10 @@ assert json.load(sys.stdin)["state"]["enabled"], "rejected profile disarmed the 
 # server-side retry budget so fault-hit epochs re-queue instead of failing.
 "$workdir/surfload" -addr "$addr" -rate 300 -requests 600 -seed 7 \
   -retry -retry-max 5 -deadline 60s -retry-budget 3 \
-  -timeout 120s -out "$workdir/BENCH_service.json" \
+  -timeout 120s -out "$workdir/surfload.json" \
   || { echo "surfload chaos run failed"; cat "$stderr"; exit 1; }
 
-python3 - "$workdir/BENCH_service.json" <<'EOF'
+python3 - "$workdir/surfload.json" <<'EOF'
 import json, sys
 rep = json.load(open(sys.argv[1]))
 [b] = [b for b in rep["benchmarks"] if b["name"] == "ServiceTransferWall"]

@@ -2,7 +2,7 @@
 # Smoke-test the resident control-plane daemon end to end: launch surfnetd on
 # an ephemeral port, drive it with a 1000-request open-loop surfload run, and
 # assert the service surface (admission, shed counters on /metrics, per-tenant
-# /status accounting, latency percentiles in BENCH_service.json). Then start a
+# /status accounting, latency percentiles in surfload's report). Then start a
 # second load and SIGTERM the daemon mid-run: /readyz must leave ready, the
 # drain must complete every admitted transfer (admitted == completed + failed,
 # the zero-drop contract), and the process must exit 0.
@@ -51,10 +51,10 @@ assert net["fibers"], net
 # the daemon absorbs with this queue bound, so admission control must shed —
 # surfload exits 0 as long as nothing errors or times out.
 "$workdir/surfload" -addr "$addr" -rate 500 -requests 1000 -seed 7 \
-  -timeout 120s -out "$workdir/BENCH_service.json" \
+  -timeout 120s -out "$workdir/surfload.json" \
   || { echo "surfload run failed"; cat "$stderr"; exit 1; }
 
-python3 - "$workdir/BENCH_service.json" <<'EOF'
+python3 - "$workdir/surfload.json" <<'EOF'
 import json, sys
 rep = json.load(open(sys.argv[1]))
 [b] = [b for b in rep["benchmarks"] if b["name"] == "ServiceTransferWall"]

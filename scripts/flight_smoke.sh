@@ -4,7 +4,7 @@
 # assert the latency-attribution contract end to end: a trace fetched
 # mid-chaos is a complete ordered timeline whose segments sum exactly to the
 # transfer's admission-to-terminal wall time, /debug/bundle has the incident
-# shape (status + metrics + faults + flights), flightview renders it, the
+# shape (status + metrics + faults + flights), traceview renders it, the
 # segment and queue-wait HDR families are live on /metrics, and unmatched API
 # paths answer with the JSON error envelope.
 set -euo pipefail
@@ -17,7 +17,7 @@ trap 'kill "$pid" 2>/dev/null || true; wait "$pid" 2>/dev/null || true; rm -rf "
 
 go build -o "$workdir/surfnetd" ./cmd/surfnetd
 go build -o "$workdir/surfload" ./cmd/surfload
-go build -o "$workdir/flightview" ./cmd/flightview
+go build -o "$workdir/traceview" ./cmd/traceview
 
 # Chaos armed: the 2x resilience scenario plus a scripted node outage, with a
 # low replan threshold so fault stalls land within seconds.
@@ -47,10 +47,10 @@ curl -fsS "http://$addr/readyz" | grep -qx 'ready' || { echo "/readyz never beca
 # and folds their attribution into the benchjson extras.
 "$workdir/surfload" -addr "$addr" -rate 300 -requests 400 -seed 7 \
   -retry -retry-max 5 -deadline 60s -retry-budget 3 -sample-traces 5 \
-  -timeout 120s -out "$workdir/BENCH_service.json" \
+  -timeout 120s -out "$workdir/surfload.json" \
   || { echo "surfload flight run failed"; cat "$stderr"; exit 1; }
 
-python3 - "$workdir/BENCH_service.json" <<'EOF'
+python3 - "$workdir/surfload.json" <<'EOF'
 import json, sys
 rep = json.load(open(sys.argv[1]))
 [b] = [b for b in rep["benchmarks"] if b["name"] == "ServiceTransferWall"]
@@ -104,13 +104,16 @@ assert abs(tr["total_seconds"] - tr["total_wall_ns"] / 1e9) < 1e-12, tr
 assert tr["events"][-1]["kind"] == "terminal", tr["events"][-1]
 '
 
-# flightview renders both the bundle (with rollup) and a single trace.
-"$workdir/flightview" "$bundle" >"$workdir/flightview.txt"
-grep -q "flight $trace_id" "$workdir/flightview.txt" \
-  && grep -q "attribution" "$workdir/flightview.txt" \
-  || { echo "flightview rendering incomplete"; cat "$workdir/flightview.txt"; exit 1; }
-curl -fsS "http://$addr/v1/transfers/$trace_id/trace" | "$workdir/flightview" \
-  | grep -q "flight $trace_id" || { echo "flightview failed on a bare trace"; exit 1; }
+# traceview renders both the bundle (with rollup) and a single trace.
+"$workdir/traceview" "$bundle" >"$workdir/traceview.txt"
+grep -q "flight $trace_id" "$workdir/traceview.txt" \
+  && grep -q "attribution" "$workdir/traceview.txt" \
+  || { echo "traceview rendering incomplete"; cat "$workdir/traceview.txt"; exit 1; }
+# Render to a file first: grep -q exits at its first match, and under
+# pipefail the viewer's write after that (SIGPIPE) would fail the check.
+curl -fsS "http://$addr/v1/transfers/$trace_id/trace" | "$workdir/traceview" >"$workdir/trace.txt"
+grep -q "flight $trace_id" "$workdir/trace.txt" \
+  || { echo "traceview failed on a bare trace"; cat "$workdir/trace.txt"; exit 1; }
 
 # Unknown IDs and unmatched /v1/ paths answer with the JSON error envelope.
 for path in "/v1/transfers/t-404/trace" "/v1/transfers/t-404" "/v1/nonexistent"; do
