@@ -1,11 +1,10 @@
 // Command surfnetd is the resident SurfNet control-plane daemon: it owns one
 // generated network's state for its whole lifetime and serves transfer
 // admission over HTTP/JSON while re-using the batch pipeline underneath —
-// transfers are admitted into epoch batches, each epoch is planned by the
-// warm-started LP planner over current state and executed on the re-entrant
-// parallel engine. The batch CLIs (surfnetsim, faultsim, ...) remain the
-// figure-reproduction path; surfnetd is the service path over the same
-// engine.
+// transfers are admitted into epoch batches, each epoch is planned by the LP
+// planner over current state and executed on the re-entrant parallel engine.
+// The batch CLIs (surfnetsim, faultsim, ...) remain the figure-reproduction
+// path; surfnetd is the service path over the same engine.
 //
 // API (on the -listen address, shared with the ops surface):
 //
@@ -31,8 +30,8 @@
 // scenario scaled by the given intensity) and/or -fault-script (an exact
 // outage timetable in SLOT:fiber|node:ID:DURATION,... form, stepped on the
 // -fault-tick cadence). Accumulated outage events past -fault-replan-threshold
-// invalidate the planner's warm basis and force an early re-plan; -plan-budget
-// arms the degraded-mode circuit breaker (greedy routing while open).
+// force an early re-plan; -plan-budget arms the degraded-mode circuit breaker
+// (greedy routing while open).
 //
 // Usage:
 //

@@ -166,7 +166,7 @@ const sampleTrace = `{
     {"seq": 0, "kind": "admitted", "tick": 0, "wall_ns": 1000},
     {"seq": 1, "kind": "queue_enter", "tick": 0, "wall_ns": 2000, "detail": {"queue_depth": 1}},
     {"seq": 2, "kind": "queue_exit", "tick": 0, "wall_ns": 5000, "detail": {"queue_depth": 0}},
-    {"seq": 3, "kind": "planned", "tick": 0, "wall_ns": 8000, "note": "warm", "detail": {"batch": 1}},
+    {"seq": 3, "kind": "planned", "tick": 0, "wall_ns": 8000, "note": "cold", "detail": {"batch": 1}},
     {"seq": 4, "kind": "terminal", "tick": 1, "wall_ns": 11000, "note": "completed"}
   ],
   "segments": [
@@ -216,7 +216,7 @@ func TestRenderFlightTimelineAndAttribution(t *testing.T) {
 	for _, want := range []string{
 		"flight t-1", "state=completed", "retries=1",
 		"admitted", "queue_enter", "planned", "terminal",
-		"warm", "queue_depth=1",
+		"cold", "queue_depth=1",
 		"attribution", "queue_wait", "plan", "execute", "40.0%",
 	} {
 		if !strings.Contains(out, want) {

@@ -1,5 +1,6 @@
-// Package lp provides a self-contained linear-programming solver: a dense
-// two-phase primal simplex with Bland anti-cycling.
+// Package lp provides a self-contained linear-programming solver: a two-phase
+// primal simplex with Bland anti-cycling on a dense tableau, eliminating
+// sparsely.
 //
 // The routing protocol of §V formulates scheduling as an integer program and
 // evaluates "a relaxed Linear Programming version with rounding"; this solver
@@ -166,9 +167,14 @@ type Solution struct {
 var (
 	// ErrIterationLimit is returned when simplex exceeds its pivot budget.
 	ErrIterationLimit = errors.New("lp: iteration limit exceeded")
+	// ErrInaccurate is returned when the optimum the simplex reached
+	// misses a constraint or a bound by more than the feasibility
+	// tolerance: round-off gathered over a long pivot sequence, reported
+	// instead of handed back as an answer.
+	ErrInaccurate = errors.New("lp: optimum violates a constraint")
 )
 
-// Simplex tolerances. The three numeric thresholds form one documented
+// Simplex tolerances. The numeric thresholds form one documented
 // scheme instead of ad-hoc magic numbers at each comparison site:
 //
 //   - pivotEps classifies tableau entries and ratio-test steps as numerically
@@ -184,43 +190,51 @@ var (
 //     scaled instances — a constraint system with RHS values around 1e-7
 //     can be genuinely infeasible by several times its own magnitude while
 //     the residual stays under any fixed cutoff (see
-//     TestPhase1FeasibilityScale).
+//     TestPhase1FeasibilityScale). Every Optimal answer is checked against
+//     the original rows at the same relative scale.
+//   - stallRelTol marks a pivot as stalling when its objective gain falls
+//     below stallRelTol * max(1, |objective|). Degenerate pivots stall, and
+//     so do tiny steps just above pivotEps; blandTrigger consecutive stalls
+//     switch entering-column selection to Bland's rule.
 const (
 	pivotEps     = 1e-9
 	enterEps     = 1e-7
 	feasRelTol   = 1e-7
-	blandTrigger = 1500 // degenerate pivots before switching to Bland's rule
+	stallRelTol  = 1e-9
+	blandTrigger = 1500 // stalling pivots before switching to Bland's rule
 	refreshEvery = 256  // pivots between exact reduced-cost recomputations
 )
 
 // Solve runs two-phase primal simplex. An Infeasible or Unbounded status is
 // reported in the Solution, not as an error; errors indicate solver failure.
-func (p *Problem) Solve() (Solution, error) {
-	s, artStart, feasScale, nArt := p.tableau()
-	m := len(p.constraints)
+func (p *Problem) Solve() (Solution, error) { return p.solve(sparse{}) }
+
+// solve is Solve on the given elimination kernel.
+func (p *Problem) solve(k kernel) (Solution, error) {
+	s := p.tableau(k)
 	// Phase 1: minimize the sum of artificial variables.
-	if nArt > 0 {
+	if s.artStart < s.total {
 		obj := make([]float64, s.total)
-		for j := artStart; j < s.total; j++ {
+		for j := s.artStart; j < s.total; j++ {
 			obj[j] = -1 // maximize -(sum of artificials)
 		}
-		val, err := s.optimize(obj, artStart)
+		val, err := s.optimize(obj, s.artStart)
 		if err != nil {
 			return Solution{}, fmt.Errorf("phase 1: %w", err)
 		}
-		if val < -feasRelTol*feasScale {
+		if val < -feasRelTol*s.feasScale {
 			s.stats.Phase1Pivots = s.stats.Pivots
 			return Solution{Status: Infeasible, Stats: s.stats}, nil
 		}
 		// Drive any artificial still in the basis out (degenerate rows)
 		// or drop the row if it is all zeros.
-		for i := 0; i < m; i++ {
-			if s.basis[i] < artStart {
+		for i, ri := range s.t {
+			if s.basis[i] < s.artStart {
 				continue
 			}
 			pivoted := false
-			for j := 0; j < artStart; j++ {
-				if math.Abs(s.t[i][j]) > pivotEps {
+			for j := 0; j < s.artStart; j++ {
+				if math.Abs(ri[j]) > pivotEps {
 					s.pivot(i, j)
 					pivoted = true
 					break
@@ -228,47 +242,44 @@ func (p *Problem) Solve() (Solution, error) {
 			}
 			if !pivoted {
 				// Redundant row; zero it so it never constrains.
-				for j := range s.t[i] {
-					s.t[i][j] = 0
-				}
+				clear(ri)
 			}
 		}
 	}
 	s.stats.Phase1Pivots = s.stats.Pivots
-	return p.phase2(s, artStart)
+	return p.phase2(s)
 }
 
 // SolveFrom runs simplex warm-started from a previous Optimal solution's
 // Basis: the basis is installed by Gauss-Jordan pivots and, when the
-// resulting vertex is primal-feasible, phase 1 is skipped entirely — the
-// incremental re-plan path for a resident control plane re-solving a routing
-// LP after small topology or demand deltas. Whenever the basis cannot be
-// installed (shape mismatch, singular or artificial columns) or the vertex is
-// infeasible for the new right-hand side, it falls back to a cold Solve, so
-// SolveFrom never sacrifices correctness for speed. A nil basis is exactly
-// Solve.
+// resulting vertex is primal-feasible, phase 1 is skipped entirely. Whenever
+// the basis cannot be installed (shape mismatch, singular or artificial
+// columns) or the vertex is infeasible for the new right-hand side, it falls
+// back to a cold Solve, so SolveFrom never sacrifices correctness for speed.
+// A nil basis is exactly Solve. Only the surfbench replay calls it, timing
+// it as lp.solve_warm_ms; the routing planner solves cold.
 func (p *Problem) SolveFrom(basis []int) (Solution, error) {
 	if len(basis) != len(p.constraints) || len(basis) == 0 {
 		return p.Solve()
 	}
-	s, artStart, feasScale, _ := p.tableau()
-	if !s.install(basis, artStart) {
+	s := p.tableau(sparse{})
+	if !s.install(basis) {
 		return p.Solve()
 	}
 	// The installed vertex must be primal-feasible for the new RHS;
 	// tolerate (and clamp) elimination roundoff at the feasibility scale.
-	for i := range s.t {
-		rhs := s.t[i][s.total]
-		if rhs < -feasRelTol*feasScale {
+	for _, ri := range s.t {
+		rhs := ri[s.total]
+		if rhs < -feasRelTol*s.feasScale {
 			return p.Solve()
 		}
 		if rhs < 0 {
-			s.t[i][s.total] = 0
+			ri[s.total] = 0
 		}
 	}
 	s.stats.WarmStarted = true
 	s.stats.Phase1Pivots = s.stats.Pivots
-	return p.phase2(s, artStart)
+	return p.phase2(s)
 }
 
 // install pivots the canonical tableau onto the given basis, assigning each
@@ -276,19 +287,18 @@ func (p *Problem) SolveFrom(basis []int) (Solution, error) {
 // pivoting). It reports false — leaving the caller to fall back to a cold
 // solve — when a column is out of range, artificial, duplicated, or the
 // basis matrix is numerically singular.
-func (s *simplex) install(basis []int, artStart int) bool {
-	m := len(s.t)
-	used := make([]bool, m)
+func (s *simplex) install(basis []int) bool {
+	used := make([]bool, len(s.t))
 	for _, b := range basis {
-		if b < 0 || b >= artStart {
+		if b < 0 || b >= s.artStart {
 			return false
 		}
 		row, best := -1, pivotEps
-		for i := 0; i < m; i++ {
+		for i, ri := range s.t {
 			if used[i] {
 				continue
 			}
-			if a := math.Abs(s.t[i][b]); a > best {
+			if a := math.Abs(ri[b]); a > best {
 				best, row = a, i
 			}
 		}
@@ -303,46 +313,29 @@ func (s *simplex) install(basis []int, artStart int) bool {
 
 // tableau builds the canonical simplex tableau: slack/surplus and artificial
 // columns appended after the structural variables, rows normalized to
-// non-negative RHS, slacks/artificials forming the starting basis.
-func (p *Problem) tableau() (s *simplex, artStart int, feasScale float64, nArt int) {
-	m := len(p.constraints)
-	n := p.numVars
-	// Column layout: [structural | slack/surplus | artificial], built row
-	// by row with b >= 0.
-	type rowInfo struct {
-		coeffs []float64
-		rhs    float64
-		sense  Sense
+// non-negative RHS, slacks/artificials forming the starting basis. All rows
+// share one backing slice.
+func (p *Problem) tableau(k kernel) *simplex {
+	m, n := len(p.constraints), p.numVars
+	// normalized reports a row's sense once its RHS is made non-negative.
+	normalized := func(c Constraint) Sense {
+		if c.RHS >= 0 {
+			return c.Sense
+		}
+		switch c.Sense {
+		case LessEq:
+			return GreaterEq
+		case GreaterEq:
+			return LessEq
+		}
+		return c.Sense
 	}
-	rows := make([]rowInfo, m)
-	for i, c := range p.constraints {
-		r := rowInfo{coeffs: make([]float64, n), rhs: c.RHS, sense: c.Sense}
-		for _, t := range c.Terms {
-			r.coeffs[t.Var] += t.Coeff
-		}
-		if r.rhs < 0 {
-			for j := range r.coeffs {
-				r.coeffs[j] = -r.coeffs[j]
-			}
-			r.rhs = -r.rhs
-			switch r.sense {
-			case LessEq:
-				r.sense = GreaterEq
-			case GreaterEq:
-				r.sense = LessEq
-			}
-		}
-		rows[i] = r
-	}
-	// Count slack and artificial columns, and record the feasibility scale
-	// (rows are normalized to rhs >= 0 above).
-	nSlack := 0
-	feasScale = 1.0
-	for _, r := range rows {
-		if r.rhs > feasScale {
-			feasScale = r.rhs
-		}
-		switch r.sense {
+	// Count slack and artificial columns, and record the feasibility scale.
+	nSlack, nArt := 0, 0
+	feasScale := 1.0
+	for _, c := range p.constraints {
+		feasScale = max(feasScale, math.Abs(c.RHS))
+		switch normalized(c) {
 		case LessEq:
 			nSlack++
 		case GreaterEq:
@@ -352,44 +345,59 @@ func (p *Problem) tableau() (s *simplex, artStart int, feasScale float64, nArt i
 			nArt++
 		}
 	}
+	// Column layout: [structural | slack/surplus | artificial | RHS].
 	total := n + nSlack + nArt
-	// Tableau: m rows x (total+1) columns, last column RHS.
-	t := make([][]float64, m)
-	basis := make([]int, m)
+	w := total + 1
+	back := make([]float64, m*w)
+	s := &simplex{
+		t:         make([][]float64, m),
+		basis:     make([]int, m),
+		total:     total,
+		artStart:  n + nSlack,
+		feasScale: feasScale,
+		z:         make([]float64, w),
+		kern:      k,
+	}
 	slackCol, artCol := n, n+nSlack
-	artStart = n + nSlack
-	for i, r := range rows {
-		t[i] = make([]float64, total+1)
-		copy(t[i], r.coeffs)
-		t[i][total] = r.rhs
-		switch r.sense {
+	for i, c := range p.constraints {
+		row := back[i*w : (i+1)*w : (i+1)*w]
+		s.t[i] = row
+		for _, tm := range c.Terms {
+			row[tm.Var] += tm.Coeff
+		}
+		row[total] = c.RHS
+		if c.RHS < 0 {
+			for j := range row[:n] {
+				row[j] = -row[j]
+			}
+			row[total] = -c.RHS
+		}
+		switch normalized(c) {
 		case LessEq:
-			t[i][slackCol] = 1
-			basis[i] = slackCol
+			row[slackCol] = 1
+			s.basis[i] = slackCol
 			slackCol++
 		case GreaterEq:
-			t[i][slackCol] = -1
+			row[slackCol] = -1
 			slackCol++
-			t[i][artCol] = 1
-			basis[i] = artCol
+			row[artCol] = 1
+			s.basis[i] = artCol
 			artCol++
 		case Equal:
-			t[i][artCol] = 1
-			basis[i] = artCol
+			row[artCol] = 1
+			s.basis[i] = artCol
 			artCol++
 		}
 	}
-
-	return &simplex{t: t, basis: basis, total: total}, artStart, feasScale, nArt
+	return s
 }
 
 // phase2 maximizes the real objective over structural columns only from the
 // current (feasible) basis, then extracts the solution. Artificials are
 // frozen at zero by restricting entering columns below artStart.
-func (p *Problem) phase2(s *simplex, artStart int) (Solution, error) {
+func (p *Problem) phase2(s *simplex) (Solution, error) {
 	n := p.numVars
-	total := s.total
-	obj := make([]float64, total)
+	obj := make([]float64, s.total)
 	for j := 0; j < n; j++ {
 		if p.maximize {
 			obj[j] = p.objective[j]
@@ -397,7 +405,7 @@ func (p *Problem) phase2(s *simplex, artStart int) (Solution, error) {
 			obj[j] = -p.objective[j]
 		}
 	}
-	val, err := s.optimize(obj, artStart)
+	val, err := s.optimize(obj, s.artStart)
 	if err != nil {
 		if errors.Is(err, errUnbounded) {
 			return Solution{Status: Unbounded, Stats: s.stats}, nil
@@ -407,8 +415,11 @@ func (p *Problem) phase2(s *simplex, artStart int) (Solution, error) {
 	x := make([]float64, n)
 	for i, b := range s.basis {
 		if b < n {
-			x[b] = s.t[i][total]
+			x[b] = s.t[i][s.total]
 		}
+	}
+	if err := p.verify(x, s.feasScale); err != nil {
+		return Solution{}, fmt.Errorf("phase 2: %w", err)
 	}
 	if !p.maximize {
 		val = -val
@@ -419,41 +430,141 @@ func (p *Problem) phase2(s *simplex, artStart int) (Solution, error) {
 	}, nil
 }
 
+// verify checks x against every original row and against x >= 0, in
+// O(nnz). A row may miss its right-hand side by feasRelTol times the larger
+// of feasScale and the row's own magnitude, sum |a_ij x_j|; a variable may
+// fall below zero by feasRelTol * feasScale.
+func (p *Problem) verify(x []float64, feasScale float64) error {
+	for j, v := range x {
+		if v < -feasRelTol*feasScale {
+			return fmt.Errorf("%w: x[%d] = %.3g", ErrInaccurate, j, v)
+		}
+	}
+	for i, c := range p.constraints {
+		lhs, mag := 0.0, 0.0
+		for _, t := range c.Terms {
+			v := t.Coeff * x[t.Var]
+			lhs += v
+			mag += math.Abs(v)
+		}
+		var off float64
+		switch c.Sense {
+		case LessEq:
+			off = lhs - c.RHS
+		case GreaterEq:
+			off = c.RHS - lhs
+		case Equal:
+			off = math.Abs(lhs - c.RHS)
+		}
+		if tol := feasRelTol * max(feasScale, mag); off > tol {
+			return fmt.Errorf("%w: row %d off by %.3g (tolerance %.3g)", ErrInaccurate, i, off, tol)
+		}
+	}
+	return nil
+}
+
 var errUnbounded = errors.New("lp: unbounded")
 
 // simplex is the shared tableau state across the two phases.
 type simplex struct {
+	// t holds one row per constraint, total+1 columns wide; column total
+	// is the RHS.
 	t     [][]float64
 	basis []int
 	total int
+	// artStart is the first artificial column; feasScale is
+	// max(1, max|RHS|), the scale of the feasibility tolerances.
+	artStart  int
+	feasScale float64
+	// z is the reduced-cost row of the objective being optimized, with the
+	// objective value at z[total]; pivots eliminate in it like in any row.
+	z []float64
+	// nz and nzv list the nonzero columns of the last pivot row and their
+	// values.
+	nz    []int
+	nzv   []float64
+	kern  kernel
 	stats Stats
+}
+
+// kernel is the elimination arithmetic optimize drives. Solve uses sparse;
+// the dense reference it must match pivot for pivot lives in the tests.
+type kernel interface {
+	// pivot scales row so that column col is 1 and eliminates col from
+	// every other row and from z.
+	pivot(s *simplex, row, col int)
+	// refresh recomputes z for obj over the current basis.
+	refresh(s *simplex, obj []float64)
 }
 
 // pivot performs a Gauss-Jordan pivot on (row, col).
 func (s *simplex) pivot(row, col int) {
+	s.kern.pivot(s, row, col)
+	s.basis[row] = col
+	s.stats.Pivots++
+}
+
+// sparse is the production kernel. Its pivot touches only the pivot row's
+// nonzero columns and its refresh only the rows with a nonzero cost, so its
+// work follows the routing LP's block sparsity rather than the tableau's
+// width. It makes the same arithmetic as a dense sweep on every entry it
+// touches, and an entry it skips would only have gained or lost the sign of
+// a zero.
+type sparse struct{}
+
+func (sparse) pivot(s *simplex, row, col int) {
 	pr := s.t[row]
-	pv := pr[col]
-	inv := 1 / pv
-	for j := range pr {
-		pr[j] *= inv
+	inv := 1 / pr[col]
+	nz, nzv := s.nz[:0], s.nzv[:0]
+	for j, v := range pr {
+		if v == 0 {
+			continue
+		}
+		if j == col {
+			v = 1 // exact
+		} else {
+			v *= inv
+		}
+		pr[j] = v
+		nz = append(nz, j)
+		nzv = append(nzv, v)
 	}
-	pr[col] = 1 // exact
-	for i := range s.t {
-		if i == row {
-			continue
-		}
-		f := s.t[i][col]
+	s.nz, s.nzv = nz, nzv
+	eliminate := func(ri []float64) {
+		f := ri[col]
 		if f == 0 {
-			continue
+			return
 		}
-		ri := s.t[i]
-		for j := range ri {
-			ri[j] -= f * pr[j]
+		for q, j := range nz {
+			ri[j] -= f * nzv[q]
 		}
 		ri[col] = 0 // exact
 	}
-	s.basis[row] = col
-	s.stats.Pivots++
+	for i, ri := range s.t {
+		if i != row {
+			eliminate(ri)
+		}
+	}
+	eliminate(s.z)
+}
+
+// refresh sums z row by row, so it reads the tableau in memory order, over
+// the rows whose basic variable has a nonzero cost. Each z[j] still adds its
+// terms in row order, starting from -obj[j].
+func (sparse) refresh(s *simplex, obj []float64) {
+	z := s.z
+	for j := range z {
+		z[j] = -objAt(obj, j)
+	}
+	for i, ri := range s.t {
+		cb := objAt(obj, s.basis[i])
+		if cb == 0 {
+			continue
+		}
+		for j, v := range ri {
+			z[j] += cb * v
+		}
+	}
 }
 
 // optimize maximizes obj over the current basis, entering only columns below
@@ -461,25 +572,16 @@ func (s *simplex) pivot(row, col int) {
 func (s *simplex) optimize(obj []float64, colLimit int) (float64, error) {
 	m := len(s.t)
 	total := s.total
-	// Reduced costs are computed directly: z_j - c_j = sum over basis of
-	// c_B * t[., j] - c_j. Maintain them incrementally via an explicit
-	// objective row for efficiency.
-	z := make([]float64, total+1)
+	z := s.z
+	// Reduced costs z_j - c_j are kept incrementally in z, which every
+	// pivot eliminates like a tableau row, and recomputed exactly at
+	// intervals.
 	refresh := func() {
 		s.stats.Refreshes++
-		for j := 0; j <= total; j++ {
-			var v float64
-			if j < total {
-				v = -objAt(obj, j)
-			}
-			for i := 0; i < m; i++ {
-				v += objAt(obj, s.basis[i]) * s.t[i][j]
-			}
-			z[j] = v
-		}
+		s.kern.refresh(s, obj)
 	}
 	refresh()
-	degenerate := 0
+	stalled := 0
 	maxIters := 30*(m+total) + 10000
 	for iter := 0; iter < maxIters; iter++ {
 		s.stats.Iterations++
@@ -491,17 +593,18 @@ func (s *simplex) optimize(obj []float64, colLimit int) (float64, error) {
 		}
 		// Entering column.
 		col := -1
-		if degenerate < blandTrigger {
+		bland := stalled >= blandTrigger
+		if !bland {
 			best := -enterEps
-			for j := 0; j < colLimit; j++ {
-				if z[j] < best {
-					best = z[j]
+			for j, zj := range z[:colLimit] {
+				if zj < best {
+					best = zj
 					col = j
 				}
 			}
 		} else {
-			for j := 0; j < colLimit; j++ { // Bland: smallest index
-				if z[j] < -enterEps {
+			for j, zj := range z[:colLimit] { // Bland: smallest index
+				if zj < -enterEps {
 					col = j
 					break
 				}
@@ -510,40 +613,36 @@ func (s *simplex) optimize(obj []float64, colLimit int) (float64, error) {
 		if col < 0 {
 			return z[total], nil // optimal
 		}
-		// Ratio test.
+		// Ratio test. Rows whose ratios tie within pivotEps go to the
+		// largest pivot element, which keeps the elimination stable where a
+		// smallest-index rule would pivot on entries near pivotEps; Bland's
+		// rule takes the smallest basis index instead.
 		row := -1
-		bestRatio := math.Inf(1)
-		for i := 0; i < m; i++ {
-			a := s.t[i][col]
+		bestRatio, bestPivot := math.Inf(1), 0.0
+		for i, ri := range s.t {
+			a := ri[col]
 			if a <= pivotEps {
 				continue
 			}
-			ratio := s.t[i][total] / a
-			if ratio < bestRatio-pivotEps ||
-				(ratio < bestRatio+pivotEps && (row < 0 || s.basis[i] < s.basis[row])) {
-				bestRatio = ratio
-				row = i
+			ratio := ri[total] / a
+			if ratio < bestRatio-pivotEps || ratio < bestRatio+pivotEps &&
+				(bland && s.basis[i] < s.basis[row] || !bland && a > bestPivot) {
+				row, bestRatio, bestPivot = i, ratio, a
 			}
 		}
 		if row < 0 {
 			return 0, errUnbounded
 		}
-		if bestRatio < pivotEps {
-			degenerate++
+		degenerate := bestRatio < pivotEps
+		if degenerate {
 			s.stats.DegeneratePivots++
+		}
+		if degenerate || -z[col]*bestRatio < stallRelTol*max(1, math.Abs(z[total])) {
+			stalled++
 		} else {
-			degenerate = 0
+			stalled = 0
 		}
 		s.pivot(row, col)
-		// Update the reduced-cost row like any other row.
-		f := z[col]
-		if f != 0 {
-			pr := s.t[row]
-			for j := 0; j <= total; j++ {
-				z[j] -= f * pr[j]
-			}
-			z[col] = 0
-		}
 	}
 	return 0, ErrIterationLimit
 }

@@ -53,6 +53,29 @@ func TestWritePrometheusRendersAllInstrumentKinds(t *testing.T) {
 	}
 }
 
+// TestWritePrometheusLeIsInclusive pins that a bucket's le bound counts the
+// observations equal to it, as Prometheus reads le: with CountSpec, 8 and 9
+// are each the top of a bucket, so le="8" holds one and le="9" both.
+func TestWritePrometheusLeIsInclusive(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	h := reg.HDR("service.queue_depth", telemetry.CountSpec)
+	h.Observe(8)
+	h.Observe(9)
+	var b strings.Builder
+	if err := WritePrometheus(&b, reg.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	out := b.String()
+	for _, w := range []string{
+		`surfnet_service_queue_depth_bucket{le="8"} 1` + "\n",
+		`surfnet_service_queue_depth_bucket{le="9"} 2` + "\n",
+	} {
+		if !strings.Contains(out, w) {
+			t.Errorf("exposition missing %q\ngot:\n%s", w, out)
+		}
+	}
+}
+
 func TestWritePrometheusEveryInstrumentAppears(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	names := []string{"a.one", "b.two", "c.three", "d.four"}

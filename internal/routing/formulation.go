@@ -342,8 +342,8 @@ type LPResult struct {
 	Objective float64
 	// Stats reports the simplex effort spent on this solve.
 	Stats lp.Stats
-	// Basis is the optimal simplex basis, reusable by SolveLPFrom to
-	// warm-start a later solve of a similarly-shaped instance.
+	// Basis is the optimal simplex basis, which SolveLPFrom can start a
+	// later solve of a similarly-shaped instance from.
 	Basis []int
 }
 
@@ -354,9 +354,8 @@ func (f *Formulation) SolveLP() (LPResult, error) {
 
 // SolveLPFrom solves the relaxation warm-started from a previous solve's
 // basis, falling back to a cold solve when the basis no longer applies (see
-// lp.SolveFrom). This is the incremental re-plan path: a resident control
-// plane re-solving after small topology or demand deltas skips phase 1
-// whenever the old vertex is still feasible.
+// lp.SolveFrom). The planner solves cold; SolveLPFrom stays while the
+// surfbench replay times it as lp.solve_warm_ms.
 func (f *Formulation) SolveLPFrom(basis []int) (LPResult, error) {
 	return f.solve(func() (lp.Solution, error) { return f.Problem.SolveFrom(basis) })
 }
@@ -436,8 +435,8 @@ func emitLPSolved(p Params, form *Formulation, res LPResult) {
 // roundAndRepair turns an optimal relaxation into an integral,
 // execution-feasible schedule: round each Y_k to the nearest integer (capped
 // at the request's demand) and admit greedily in decreasing fractional-Y
-// order. Shared verbatim by the batch ScheduleLP path and the resident
-// Planner so both produce identical schedules from identical relaxations.
+// order. It is the rounding step of ScheduleLP, which the resident Planner
+// runs too.
 func roundAndRepair(net *network.Network, reqs []network.Request, p Params, res LPResult) (Schedule, error) {
 	targets := make([]int, len(reqs))
 	order := make([]int, len(reqs))

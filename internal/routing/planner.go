@@ -1,29 +1,15 @@
 package routing
 
-import (
-	"sync"
+import "surfnet/internal/network"
 
-	"surfnet/internal/lp"
-	"surfnet/internal/network"
-	"surfnet/internal/telemetry"
-)
-
-// Planner is the resident control plane's incremental scheduler. It behaves
-// exactly like ScheduleLP — same formulation, same rounding, same greedy
-// repair — but remembers the simplex basis of its last optimal solve and
-// warm-starts the next one from it, so the steady-state re-plans a daemon
-// issues (fault telemetry, epoch batching, demand churn) skip simplex
-// phase 1 whenever the previous vertex is still feasible. A Planner is safe
-// for concurrent use; each Plan call is serialized.
+// Planner is the resident control plane's scheduler: ScheduleLP bound to one
+// set of routing parameters. It plans every call cold and keeps nothing
+// between calls, so it is safe for concurrent use. A warm start from the
+// previous epoch's basis does not pay on daemon traffic: the basis applies
+// only to an LP with the same rows whose vertex stays feasible for the new
+// right-hand side, and epoch request sets change every epoch (DESIGN §12).
 type Planner struct {
 	params Params
-
-	mu    sync.Mutex
-	basis []int
-	// warmHits / warmMisses count Plan calls whose LP solve did / did not
-	// reuse the previous basis (misses include cold first solves and
-	// fallbacks after topology reshapes).
-	warmHits, warmMisses int64
 }
 
 // NewPlanner returns a planner scheduling with the given parameters.
@@ -32,69 +18,12 @@ func NewPlanner(p Params) *Planner { return &Planner{params: p} }
 // Params returns the planner's routing parameters.
 func (pl *Planner) Params() Params { return pl.params }
 
-// WarmStats reports how many Plan LP solves reused the previous basis
-// (hits) versus solved cold (misses).
-func (pl *Planner) WarmStats() (hits, misses int64) {
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
-	return pl.warmHits, pl.warmMisses
-}
+// WarmStats reports zero warm-start hits and misses: the planner plans cold.
+// It stays only while the surfbench replay calls it.
+func (pl *Planner) WarmStats() (hits, misses int64) { return 0, 0 }
 
-// Invalidate drops the remembered basis, forcing the next Plan to solve
-// cold. Callers use it after reshaping changes (node removal, request-set
-// restructuring) known to make the old basis useless.
-func (pl *Planner) Invalidate() {
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
-	pl.basis = nil
-}
-
-// Plan schedules reqs on net, warm-starting the LP relaxation from the last
-// optimal basis when one is available. The integral schedule is produced by
-// the same rounding and greedy repair as ScheduleLP, so given identical
-// relaxation optima the two paths admit identical code sets. Designs without
-// an IP formulation (purification) and adaptive code sizing degrade to
-// Greedy exactly as in ScheduleLP.
+// Plan schedules reqs on net exactly as ScheduleLP does with the planner's
+// parameters.
 func (pl *Planner) Plan(net *network.Network, reqs []network.Request) (Schedule, error) {
-	p := pl.params
-	fallback := func(reason string) (Schedule, error) {
-		p.Metrics.Counter("routing.greedy_fallbacks").Inc()
-		telemetry.Emit(p.Tracer, telemetry.Ev("routing.greedy_fallback",
-			"reason", reason, "requests", len(reqs)))
-		return Greedy(net, reqs, p, nil, nil)
-	}
-	if p.Design != SurfNet && p.Design != Raw {
-		return fallback("design-without-formulation")
-	}
-	if len(p.AdaptiveDistances) > 0 {
-		return fallback("adaptive-code-sizing")
-	}
-	form, err := BuildLP(net, reqs, p)
-	if err != nil {
-		return Schedule{}, err
-	}
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
-	res, err := form.SolveLPFrom(pl.basis)
-	if err == nil {
-		emitLPSolved(p, form, res)
-		if res.Stats.WarmStarted {
-			pl.warmHits++
-			p.Metrics.Counter("routing.replan_warm_hits").Inc()
-		} else {
-			pl.warmMisses++
-			p.Metrics.Counter("routing.replan_warm_misses").Inc()
-		}
-	}
-	if err != nil {
-		p.Metrics.Counter("routing.lp_errors").Inc()
-		pl.basis = nil
-		return fallback("solver-error")
-	}
-	if res.Status != lp.Optimal {
-		pl.basis = nil
-		return fallback("lp-" + res.Status.String())
-	}
-	pl.basis = res.Basis
-	return roundAndRepair(net, reqs, p, res)
+	return ScheduleLP(net, reqs, pl.params)
 }

@@ -96,7 +96,7 @@ func TestFaultTriggeredReplan(t *testing.T) {
 	if st := svc.Status(); st.ReplansScheduled != 1 || st.ReplansFaultTriggered != 0 {
 		t.Fatalf("after scheduled epoch: %+v", st)
 	}
-	// One crash event reaches the threshold: warm basis invalidated and the
+	// One crash event reaches the threshold: a re-plan is requested and the
 	// next epoch counts as fault-triggered.
 	if down := svc.StepFaults(); down != 1 {
 		t.Fatalf("StepFaults = %d, want 1", down)

@@ -1,8 +1,8 @@
 // Package service is the resident control plane: a long-running Service owns
-// a core.Engine (network state) and a routing.Planner (warm-started LP
-// re-planning), admits transfer requests mid-stream into a bounded queue,
-// batches them into epochs, and executes each epoch on the deterministic
-// worker pool. Admission control and load-shedding are first-class: a full
+// a core.Engine (network state) and a routing.Planner (the LP relaxation with
+// rounding, solved cold each epoch), admits transfer requests mid-stream into
+// a bounded queue, batches them into epochs, and executes each epoch on the
+// deterministic worker pool. Admission control and load-shedding are first-class: a full
 // queue sheds with ErrQueueFull (HTTP 429 with a Retry-After computed from
 // observed epoch latency), a draining service refuses with ErrDraining
 // (HTTP 503), and every decision is counted on the telemetry registry the
@@ -11,11 +11,10 @@
 // The service also hosts the live fault plane (FaultPlane): one fault
 // scenario stepped against the whole network in epoch-tick time. Each epoch
 // plans on the fault-masked topology and executes under a static overlay
-// snapshot, accumulated outage events trigger early re-plans through
-// Planner.Invalidate, transfers carry deadlines and retry budgets and fail
-// with a machine-readable failure class (shed, deadline, no_path, decode),
-// and a circuit breaker degrades planning to greedy routing when the LP
-// solve errors or blows its wall-clock budget.
+// snapshot, accumulated outage events trigger early re-plans, transfers carry
+// deadlines and retry budgets and fail with a machine-readable failure class
+// (shed, deadline, no_path, decode), and a circuit breaker degrades planning
+// to greedy routing when the LP solve errors or blows its wall-clock budget.
 //
 // Determinism: epoch e executes on the rng sub-stream SplitN("epoch", e) of
 // the service's root source and runs through the core engine's parallel
@@ -108,9 +107,8 @@ type Config struct {
 	// directly for a deterministic timeline).
 	FaultTick time.Duration
 	// FaultReplanThreshold is how many accumulated outage events (fiber,
-	// node, or regional crashes) invalidate the planner's warm basis and
-	// trigger an early fault-triggered re-plan. Zero selects 4; negative
-	// disables the trigger.
+	// node, or regional crashes) trigger an early fault-triggered re-plan.
+	// Zero selects 4; negative disables the trigger.
 	FaultReplanThreshold int
 
 	// PlanBudget is the wall-clock budget for one LP plan. A plan error or
@@ -264,8 +262,8 @@ type Status struct {
 	Degraded       bool  `json:"degraded"`
 	DegradedEpochs int64 `json:"degraded_epochs,omitempty"`
 	// ReplansScheduled and ReplansFaultTriggered split epoch plans by what
-	// initiated them; FaultInvalidations counts warm-basis drops forced by
-	// accumulated outage telemetry.
+	// initiated them; FaultInvalidations counts fault-triggered re-plan
+	// requests.
 	ReplansScheduled      int64 `json:"replans_scheduled,omitempty"`
 	ReplansFaultTriggered int64 `json:"replans_fault_triggered,omitempty"`
 	FaultInvalidations    int64 `json:"fault_invalidations,omitempty"`
@@ -652,9 +650,9 @@ func (s *Service) FaultProfile() faults.Profile { return s.plane.Profile() }
 
 // StepFaults advances the live fault plane one tick and feeds its outage
 // events into the re-planning trigger: once FaultReplanThreshold events have
-// accumulated, the planner's warm basis is invalidated and the next epoch is
-// marked fault-triggered. It returns the tick's outage event count. Run calls
-// this on the FaultTick cadence; tests call it directly.
+// accumulated, the next epoch is woken early and marked fault-triggered. It
+// returns the tick's outage event count. Run calls this on the FaultTick
+// cadence; tests call it directly.
 func (s *Service) StepFaults() int {
 	down := s.plane.Step()
 	if down == 0 || s.cfg.FaultReplanThreshold < 0 {
@@ -670,7 +668,6 @@ func (s *Service) StepFaults() int {
 	}
 	s.mu.Unlock()
 	if trig {
-		s.pl.Invalidate()
 		s.invalidations.Inc()
 		if s.cfg.Tracer != nil {
 			s.cfg.Tracer.Emit(telemetry.Ev("service.fault_replan", "events", s.cfg.FaultReplanThreshold))
@@ -690,7 +687,7 @@ func (s *Service) wakeUp() {
 
 // StepEpoch synchronously executes one epoch: it promotes due retries, takes
 // up to EpochMax queued transfers, fails the ones whose deadline has already
-// passed, plans the rest on the fault-masked network (warm LP, or greedy
+// passed, plans the rest on the fault-masked network (LP, or greedy
 // while the breaker is open), runs the schedule on the parallel engine under
 // the epoch's fault overlay, and classifies every outcome — completing,
 // re-queueing (budget permitting), or failing with a failure class. It
@@ -854,17 +851,15 @@ func (s *Service) StepEpoch(ctx context.Context) (int, error) {
 	return n, nil
 }
 
-// Plan modes, reported on the flights' planned events: warm reused the LP
-// basis, cold solved from scratch, degraded routed greedy (breaker open or
-// plan-error fallback).
+// Plan modes, reported on the flights' planned events: cold solved the LP
+// relaxation, degraded routed greedy (breaker open or plan-error fallback).
 const (
-	planModeWarm     = "warm"
 	planModeCold     = "cold"
 	planModeDegraded = "degraded"
 )
 
 // planEpoch schedules one epoch's requests and reports the plan mode. With
-// the breaker open it routes greedy outright; otherwise it runs the warm LP
+// the breaker open it routes greedy outright; otherwise it runs the LP
 // planner under PlanBudget and trips the breaker on an error (greedy fallback
 // now) or an over-budget solve (the slow-but-valid schedule is still used;
 // the cooldown epochs degrade).
@@ -875,16 +870,11 @@ func (s *Service) planEpoch(net *network.Network, reqs []network.Request, epoch 
 		return sched, planModeDegraded, err
 	}
 	s.degradedGauge.Set(0)
-	hits0, _ := s.pl.WarmStats()
 	planStart := time.Now()
 	sched, err := s.pl.Plan(net, reqs)
 	overBudget := s.cfg.PlanBudget > 0 && time.Since(planStart) > s.cfg.PlanBudget
-	mode := planModeCold
-	if hits1, _ := s.pl.WarmStats(); hits1 > hits0 {
-		mode = planModeWarm
-	}
 	if err == nil && !overBudget {
-		return sched, mode, nil
+		return sched, planModeCold, nil
 	}
 	s.mu.Lock()
 	s.breakerUntil = epoch + 1 + int64(s.cfg.BreakerCooldown)
@@ -898,7 +888,7 @@ func (s *Service) planEpoch(net *network.Network, reqs []network.Request, epoch 
 		s.cfg.Tracer.Emit(telemetry.Ev("service.breaker_open", "reason", reason, "epoch", epoch))
 	}
 	if err == nil {
-		return sched, mode, nil
+		return sched, planModeCold, nil
 	}
 	s.degradedEpoch()
 	sched, gerr := routing.Greedy(net, reqs, s.pl.Params(), nil, nil)

@@ -33,7 +33,7 @@ const (
 	// execute it; A carries the epoch number.
 	FlightEpochAssigned
 	// FlightPlanned marks the end of the epoch's planning step; Note carries
-	// the plan mode (warm, cold, degraded) and A the batch size planned.
+	// the plan mode (cold or degraded) and A the batch size planned.
 	FlightPlanned
 	// FlightFaultCoincident marks that the attempt ran while the live fault
 	// plane had outages in effect; A and B carry the down fiber and node

@@ -31,7 +31,7 @@ type HDR struct {
 // HDRSpec fixes an HDR's bucket layout. Two HDRs are mergeable iff their
 // specs are equal.
 type HDRSpec struct {
-	// Min is the smallest distinguishable value; observations below it land
+	// Min is the smallest distinguishable value; observations up to it land
 	// in bucket 0. Must be positive.
 	Min float64
 	// SubBuckets is the number of linear sub-buckets per octave; the
@@ -49,8 +49,8 @@ var WallLatencySpec = HDRSpec{Min: 1e-7, SubBuckets: 8, Octaves: 31}
 
 // CountSpec is the repo-wide layout for non-negative counts (syndrome and
 // correction weights, latencies in slots, queue depths): zero and one share
-// bucket 0, every integer from 2 to 15 has a bucket of its own, and 16
-// octaves reach 65536.
+// bucket 0, each integer from 2 to 16 is the inclusive top of a bucket of its
+// own, and 16 octaves reach 65536.
 var CountSpec = HDRSpec{Min: 1, SubBuckets: 8, Octaves: 16}
 
 // NewHDR builds an empty histogram with the given layout.
@@ -83,57 +83,49 @@ func (h *HDR) NumBuckets() int {
 	return len(h.buckets) - 1
 }
 
-// bucketIndex maps a value onto its bucket: sub-minimum values into bucket 0,
-// beyond-range values into the overflow bucket (index NumBuckets()).
+// bucketIndex maps a value onto its bucket: values up to Min into bucket 0,
+// beyond-range values into the overflow bucket (index NumBuckets()). Buckets
+// are (lower, upper] intervals, as Prometheus reads a bucket's le bound: a
+// value on a boundary lands in the bucket it upper-bounds.
 func (h *HDR) bucketIndex(v float64) int {
-	if v < h.spec.Min {
+	if v <= h.spec.Min {
 		return 0
 	}
-	// Octave o covers [Min*2^o, Min*2^(o+1)); the linear position within it
-	// selects the sub-bucket. Log2 is exact enough here: a value on a bucket
-	// boundary must land in the bucket it lower-bounds, which the floor of
-	// the scaled log guarantees for exact powers of two and which
-	// UpperBound's strict-inequality contract tolerates elsewhere.
+	last := len(h.buckets) - 2
+	if v > h.UpperBound(last) {
+		return last + 1
+	}
+	// Octave o covers (Min*2^o, Min*2^(o+1)]; the linear position within
+	// it selects the sub-bucket.
 	ratio := v / h.spec.Min
-	o := int(math.Floor(math.Log2(ratio)))
-	if o >= h.spec.Octaves {
-		return len(h.buckets) - 1
-	}
-	if o < 0 {
-		o = 0
-	}
-	// Position within the octave in [0,1): (ratio/2^o - 1).
+	o := min(max(int(math.Floor(math.Log2(ratio))), 0), h.spec.Octaves-1)
+	// Position within the octave in (0,1]: (ratio/2^o - 1).
 	within := ratio/math.Ldexp(1, o) - 1
-	sub := int(within * float64(h.spec.SubBuckets))
-	switch { // guard float round-off at the octave edges
-	case sub < 0:
-		sub = 0
-	case sub >= h.spec.SubBuckets:
-		sub = h.spec.SubBuckets - 1
-	}
+	sub := min(max(int(math.Ceil(within*float64(h.spec.SubBuckets)))-1, 0), h.spec.SubBuckets-1)
 	idx := o*h.spec.SubBuckets + sub
 	// Log2 is not exactly rounded, so v can land one bucket off either way
-	// at a boundary; settle it against the exact LowerBound arithmetic
-	// (each loop moves at most one step in practice).
-	for idx > 0 && v < h.LowerBound(idx) {
+	// at a boundary; settle it against the exact bound arithmetic (each
+	// loop moves at most one step in practice).
+	for idx > 0 && v <= h.LowerBound(idx) {
 		idx--
 	}
-	for idx+1 < len(h.buckets)-1 && v >= h.LowerBound(idx+1) {
+	for idx < last && v > h.UpperBound(idx) {
 		idx++
 	}
 	return idx
 }
 
-// LowerBound returns the inclusive lower bound of finite bucket i (bucket 0
-// extends down to zero: sub-minimum observations clamp into it).
+// LowerBound returns the exclusive lower bound of finite bucket i (bucket 0
+// extends down to zero: observations up to Min clamp into it).
 func (h *HDR) LowerBound(i int) float64 {
 	o := i / h.spec.SubBuckets
 	sub := i % h.spec.SubBuckets
 	return h.spec.Min * math.Ldexp(1, o) * (1 + float64(sub)/float64(h.spec.SubBuckets))
 }
 
-// UpperBound returns the exclusive upper bound of finite bucket i; the
-// overflow bucket (i == NumBuckets()) is unbounded (+Inf).
+// UpperBound returns the inclusive upper bound of finite bucket i, the le
+// bound /metrics renders; the overflow bucket (i == NumBuckets()) is
+// unbounded (+Inf).
 func (h *HDR) UpperBound(i int) float64 {
 	if i >= len(h.buckets)-1 {
 		return math.Inf(1)

@@ -11,7 +11,7 @@ import (
 // TestHDRBucketBoundsExact pins the bucket layout arithmetic: bounds are
 // exactly Min * 2^o * (1 + s/SubBuckets), contiguous, and strictly
 // increasing, and a value placed exactly on a boundary lands in the bucket it
-// lower-bounds.
+// upper-bounds: buckets are (lower, upper], as /metrics reads a le bound.
 func TestHDRBucketBoundsExact(t *testing.T) {
 	spec := HDRSpec{Min: 1e-6, SubBuckets: 4, Octaves: 10}
 	h := NewHDR(spec)
@@ -29,28 +29,38 @@ func TestHDRBucketBoundsExact(t *testing.T) {
 				i, i-1, h.UpperBound(i-1), i, h.LowerBound(i))
 		}
 		if h.UpperBound(i) <= h.LowerBound(i) {
-			t.Fatalf("bucket %d not increasing: [%g, %g)", i, h.LowerBound(i), h.UpperBound(i))
+			t.Fatalf("bucket %d not increasing: (%g, %g]", i, h.LowerBound(i), h.UpperBound(i))
 		}
 	}
 	if !math.IsInf(h.UpperBound(h.NumBuckets()), 1) {
 		t.Fatalf("overflow bucket upper bound = %g, want +Inf", h.UpperBound(h.NumBuckets()))
 	}
-	// Exact boundary values land in the bucket they lower-bound, interior
+	// Exact boundary values land in the bucket they upper-bound, interior
 	// values in their enclosing bucket, for every bucket in the layout.
 	for i := 0; i < h.NumBuckets(); i++ {
-		if got := h.bucketIndex(h.LowerBound(i)); got != i {
-			t.Fatalf("bucketIndex(LowerBound(%d)) = %d", i, got)
+		if got := h.bucketIndex(h.UpperBound(i)); got != i {
+			t.Fatalf("bucketIndex(UpperBound(%d)) = %d", i, got)
+		}
+		if got := h.bucketIndex(math.Nextafter(h.LowerBound(i), math.Inf(1))); got != i {
+			t.Fatalf("bucketIndex(just above LowerBound(%d)) = %d", i, got)
 		}
 		mid := h.LowerBound(i) + (h.UpperBound(i)-h.LowerBound(i))/2
 		if got := h.bucketIndex(mid); got != i {
 			t.Fatalf("bucketIndex(mid of %d) = %d", i, got)
 		}
 	}
-	// Clamps: sub-minimum into bucket 0, beyond-range into overflow.
+	// Clamps: up to Min into bucket 0, beyond-range into overflow.
 	if got := h.bucketIndex(spec.Min / 10); got != 0 {
 		t.Fatalf("sub-minimum bucket = %d, want 0", got)
 	}
-	if got := h.bucketIndex(spec.Min * math.Ldexp(1, spec.Octaves)); got != h.NumBuckets() {
+	if got := h.bucketIndex(spec.Min); got != 0 {
+		t.Fatalf("bucketIndex(Min) = %d, want 0", got)
+	}
+	top := spec.Min * math.Ldexp(1, spec.Octaves)
+	if got := h.bucketIndex(top); got != h.NumBuckets()-1 {
+		t.Fatalf("range top bucket = %d, want the last finite %d", got, h.NumBuckets()-1)
+	}
+	if got := h.bucketIndex(math.Nextafter(top, math.Inf(1))); got != h.NumBuckets() {
 		t.Fatalf("beyond-range bucket = %d, want overflow %d", got, h.NumBuckets())
 	}
 }

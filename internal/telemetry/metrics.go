@@ -205,8 +205,8 @@ type HistogramSnapshot struct {
 	Buckets []BucketSnapshot `json:"buckets"`
 }
 
-// BucketSnapshot is one histogram bucket: the count of observations below Le
-// and at or above the bucket's lower bound. Empty finite buckets are elided;
+// BucketSnapshot is one histogram bucket: the count of observations at or
+// below Le and above the bucket's lower bound. Empty finite buckets are elided;
 // the overflow bucket, always present, carries Le = +Inf (serialized "+Inf").
 type BucketSnapshot struct {
 	Le    float64 `json:"le"`
