@@ -29,9 +29,8 @@
 // The live fault plane is armed with -faults (the resilience sweep's unit
 // scenario scaled by the given intensity) and/or -fault-script (an exact
 // outage timetable in SLOT:fiber|node:ID:DURATION,... form, stepped on the
-// -fault-tick cadence). Accumulated outage events past -fault-replan-threshold
-// force an early re-plan; -plan-budget arms the degraded-mode circuit breaker
-// (greedy routing while open).
+// -fault-tick cadence). Every epoch plans cold on the network with the
+// current outages masked out.
 //
 // Usage:
 //
@@ -39,7 +38,6 @@
 //	         [-fidelity good|poor] [-net-seed S] [-seed S]
 //	         [-queue-limit N] [-epoch-max N] [-fiber-fail-prob P]
 //	         [-faults X] [-fault-script SCRIPT] [-fault-tick D]
-//	         [-fault-replan-threshold N] [-plan-budget D] [-breaker-cooldown N]
 //	         [-workers N] [-log-level LEVEL] [-metrics-out FILE] ...
 package main
 
@@ -100,9 +98,6 @@ func run() (exit int) {
 	faultIntensity := flag.Float64("faults", 0, "arm the live fault plane with the resilience scenario at this intensity (0: off)")
 	faultScript := flag.String("fault-script", "", "scripted outage timetable for the live fault plane: SLOT:fiber|node:ID:DURATION,...")
 	faultTick := flag.Duration("fault-tick", 0, "fault-plane step period (0: default 250ms)")
-	faultReplanThreshold := flag.Int("fault-replan-threshold", 0, "outage events before a forced re-plan (0: default 4, negative: never)")
-	planBudget := flag.Duration("plan-budget", 0, "LP plan wall-clock budget; exceeding it trips the greedy circuit breaker (0: no budget)")
-	breakerCooldown := flag.Int("breaker-cooldown", 0, "epochs the circuit breaker stays open (0: default 4)")
 	var obs cliutil.Observability
 	obs.DeferReady = true // not ready until the engine owns state and routes are up
 	obs.Register(flag.CommandLine)
@@ -164,18 +159,15 @@ func run() (exit int) {
 
 	srv := obs.ObsServer()
 	svc, err := service.New(eng, pl, service.Config{
-		QueueLimit:           *queueLimit,
-		EpochMax:             *epochMax,
-		Workers:              obs.Workers,
-		Seed:                 *seed,
-		Metrics:              obs.Registry,
-		Tracer:               obs.TracerOrNil(),
-		DrainHook:            func() { srv.SetReady(false) },
-		Faults:               profile,
-		FaultTick:            *faultTick,
-		FaultReplanThreshold: *faultReplanThreshold,
-		PlanBudget:           *planBudget,
-		BreakerCooldown:      *breakerCooldown,
+		QueueLimit: *queueLimit,
+		EpochMax:   *epochMax,
+		Workers:    obs.Workers,
+		Seed:       *seed,
+		Metrics:    obs.Registry,
+		Tracer:     obs.TracerOrNil(),
+		DrainHook:  func() { srv.SetReady(false) },
+		Faults:     profile,
+		FaultTick:  *faultTick,
 	})
 	if err != nil {
 		slog.Error("surfnetd: building service", "err", err)
@@ -199,7 +191,6 @@ func run() (exit int) {
 	slog.Info("surfnetd: drained",
 		"admitted", st.Admitted, "completed", st.Completed,
 		"failed", st.Failed, "shed", st.Shed, "epochs", st.Epochs,
-		"retries", st.Retries, "degraded_epochs", st.DegradedEpochs,
-		"replans_fault_triggered", st.ReplansFaultTriggered)
+		"retries", st.Retries)
 	return 0
 }

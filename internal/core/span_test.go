@@ -3,10 +3,12 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"sort"
 	"strings"
 	"testing"
 
 	"surfnet/internal/faults"
+	"surfnet/internal/network"
 	"surfnet/internal/rng"
 	"surfnet/internal/routing"
 	"surfnet/internal/telemetry"
@@ -23,18 +25,18 @@ type spanEv struct {
 	Start  int    `json:"start"`
 	Dur    int    `json:"dur"`
 	Slot   int    `json:"slot"`
+	// Replanned marks an epoch span closed by a re-plan.
+	Replanned bool `json:"replanned"`
 }
 
-// collectSpans runs a schedule under a JSONL tracer and returns the span
+// collectSpans runs sched on net under a JSONL tracer and returns the span
 // events grouped per communication.
-func collectSpans(t *testing.T, design routing.Design, cfg Config) map[[2]int][]spanEv {
+func collectSpans(t *testing.T, net *network.Network, sched routing.Schedule, cfg Config, seed uint64) map[[2]int][]spanEv {
 	t.Helper()
-	net := lineNet(t, 0.95, 0.6, 0.02)
-	sched := mustSchedule(t, net, design, 2)
 	var buf bytes.Buffer
 	tr := telemetry.NewJSONL(&buf)
 	cfg.Tracer = tr
-	if _, err := Run(net, sched, cfg, rng.New(7)); err != nil {
+	if _, err := Run(net, sched, cfg, rng.New(seed)); err != nil {
 		t.Fatal(err)
 	}
 	if err := tr.Flush(); err != nil {
@@ -104,7 +106,8 @@ func checkSpanTree(t *testing.T, key [2]int, spans []spanEv) {
 }
 
 func TestSurfNetSpanTreeWellFormed(t *testing.T) {
-	spans := collectSpans(t, routing.SurfNet, DefaultConfig())
+	net := lineNet(t, 0.95, 0.6, 0.02)
+	spans := collectSpans(t, net, mustSchedule(t, net, routing.SurfNet, 2), DefaultConfig(), 7)
 	if len(spans) == 0 {
 		t.Fatal("no spans traced")
 	}
@@ -129,7 +132,8 @@ func TestSurfNetSpanTreeWellFormed(t *testing.T) {
 }
 
 func TestPurificationSpanTreeWellFormed(t *testing.T) {
-	spans := collectSpans(t, routing.Purification2, DefaultConfig())
+	net := lineNet(t, 0.95, 0.6, 0.02)
+	spans := collectSpans(t, net, mustSchedule(t, net, routing.Purification2, 2), DefaultConfig(), 7)
 	if len(spans) == 0 {
 		t.Fatal("no spans traced")
 	}
@@ -142,31 +146,38 @@ func TestPurificationSpanTreeWellFormed(t *testing.T) {
 	}
 }
 
-// TestReplanRotatesEpochSpans drives persistent recovery failure so the
-// engine re-plans, and checks that each re-plan closes the old epoch span and
-// opens a new one under the same transfer.
+// TestReplanRotatesEpochSpans runs TestReplanAfterPersistentRecoveryFailure's
+// scenario, where a cut primary route forces an epoch re-plan, and checks
+// that the re-plan closes the first epoch span and opens a new one under the
+// same transfer.
 func TestReplanRotatesEpochSpans(t *testing.T) {
+	net := branchNet(t)
+	sched := mustSchedule(t, net, routing.SurfNet, 1)
 	cfg := DefaultConfig()
-	cfg.Faults = &faults.Profile{FiberCrashProb: 0.30, FiberRepairSlots: 40}
-	cfg.RecoveryBackoff = 1
-	cfg.ReplanAfterFails = 2
+	cfg.Faults = &faults.Profile{Script: []faults.ScriptedFault{
+		{Slot: 1, Duration: 100000, ID: 1},
+	}}
+	cfg.ReplanAfterFails = 3
 	cfg.ReplanEpoch = 10
-	cfg.MaxSlots = 200
-	spans := collectSpans(t, routing.SurfNet, cfg)
-	multiEpoch := false
+	cfg.MaxSlots = 400
+	spans := collectSpans(t, net, sched, cfg, 41)
+	if len(spans) == 0 {
+		t.Fatal("no spans traced")
+	}
 	for key, ss := range spans {
 		checkSpanTree(t, key, ss)
-		epochs := 0
+		var epochs []spanEv
 		for _, s := range ss {
 			if s.Name == "epoch" {
-				epochs++
+				epochs = append(epochs, s)
 			}
 		}
-		if epochs > 1 {
-			multiEpoch = true
+		if len(epochs) < 2 {
+			t.Fatalf("%v: %d epoch spans, want at least 2 after the re-plan", key, len(epochs))
 		}
-	}
-	if !multiEpoch {
-		t.Skip("no re-plan triggered at this seed; raise FiberCrashProb if this persists")
+		sort.Slice(epochs, func(i, j int) bool { return epochs[i].Span < epochs[j].Span })
+		if !epochs[0].Replanned {
+			t.Fatalf("%v: first epoch span %+v did not end with replanned: true", key, epochs[0])
+		}
 	}
 }

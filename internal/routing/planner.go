@@ -15,9 +15,6 @@ type Planner struct {
 // NewPlanner returns a planner scheduling with the given parameters.
 func NewPlanner(p Params) *Planner { return &Planner{params: p} }
 
-// Params returns the planner's routing parameters.
-func (pl *Planner) Params() Params { return pl.params }
-
 // WarmStats reports zero warm-start hits and misses: the planner plans cold.
 // It stays only while the surfbench replay calls it.
 func (pl *Planner) WarmStats() (hits, misses int64) { return 0, 0 }

@@ -54,7 +54,8 @@ func TestPlannerMatchesScheduleLPThroughput(t *testing.T) {
 // plan carries over, so it admits what ScheduleLP admits.
 func TestPlannerSurvivesTopologyReshape(t *testing.T) {
 	net, reqs := plannerScenario(t)
-	pl := NewPlanner(DefaultParams(SurfNet))
+	p := DefaultParams(SurfNet)
+	pl := NewPlanner(p)
 	first, err := pl.Plan(net, reqs)
 	if err != nil {
 		t.Fatal(err)
@@ -80,7 +81,7 @@ func TestPlannerSurvivesTopologyReshape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ScheduleLP(smaller, reqs, pl.Params())
+	want, err := ScheduleLP(smaller, reqs, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,12 +94,13 @@ func TestPlannerSurvivesTopologyReshape(t *testing.T) {
 // formulation keep working through the planner.
 func TestPlannerPurificationFallsBackToGreedy(t *testing.T) {
 	net, reqs := plannerScenario(t)
-	pl := NewPlanner(DefaultParams(Purification2))
+	p := DefaultParams(Purification2)
+	pl := NewPlanner(p)
 	sched, err := pl.Plan(net, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Greedy(net, reqs, pl.Params(), nil, nil)
+	want, err := Greedy(net, reqs, p, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,58 +78,6 @@ func TestFaultPlaneScriptedOutage(t *testing.T) {
 	}
 }
 
-func TestFaultTriggeredReplan(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	svc, subs := fixture(t, Config{
-		Metrics:              reg,
-		FaultTick:            -1,
-		FaultReplanThreshold: 1,
-		Faults:               &faults.Profile{Script: []faults.ScriptedFault{{Slot: 0, Duration: 5, ID: 0}}},
-	})
-	// A scheduled epoch first: no fault events yet.
-	if _, err := svc.Submit(subs[0]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := svc.StepEpoch(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if st := svc.Status(); st.ReplansScheduled != 1 || st.ReplansFaultTriggered != 0 {
-		t.Fatalf("after scheduled epoch: %+v", st)
-	}
-	// One crash event reaches the threshold: a re-plan is requested and the
-	// next epoch counts as fault-triggered.
-	if down := svc.StepFaults(); down != 1 {
-		t.Fatalf("StepFaults = %d, want 1", down)
-	}
-	if st := svc.Status(); st.FaultInvalidations != 1 {
-		t.Fatalf("fault invalidations = %d, want 1", st.FaultInvalidations)
-	}
-	if _, err := svc.Submit(subs[1]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := svc.StepEpoch(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	st := svc.Status()
-	if st.ReplansFaultTriggered != 1 || st.ReplansScheduled != 1 {
-		t.Fatalf("replan split = scheduled %d / fault %d, want 1 / 1",
-			st.ReplansScheduled, st.ReplansFaultTriggered)
-	}
-	if v := reg.Counter("service.replans_fault_triggered").Value(); v != 1 {
-		t.Fatalf("service.replans_fault_triggered = %d, want 1", v)
-	}
-	// The sticky marker is consumed: the next epoch is scheduled again.
-	if _, err := svc.Submit(subs[2]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := svc.StepEpoch(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if st := svc.Status(); st.ReplansScheduled != 2 {
-		t.Fatalf("replans scheduled = %d, want 2", st.ReplansScheduled)
-	}
-}
-
 func TestNoPathFailureClassAndRetryBudget(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	svc, subs := fixture(t, Config{Metrics: reg, FaultTick: -1})
@@ -241,48 +189,6 @@ func TestSubmitValidatesRobustnessContract(t *testing.T) {
 	}
 	if tr := svc.transfers[st.ID]; !tr.deadline.After(tr.submitted) {
 		t.Fatalf("deadline_ms %d gave deadline %v before admission %v", far.DeadlineMs, tr.deadline, tr.submitted)
-	}
-}
-
-func TestPlanBudgetTripsBreaker(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	svc, subs := fixture(t, Config{
-		Metrics:         reg,
-		FaultTick:       -1,
-		PlanBudget:      time.Nanosecond, // every LP solve blows this budget
-		BreakerCooldown: 2,
-	})
-	if _, err := svc.Submit(subs[0]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := svc.StepEpoch(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if v := reg.Counter("service.breaker_trips").Value(); v != 1 {
-		t.Fatalf("breaker trips = %d, want 1", v)
-	}
-	st := svc.Status()
-	if !st.Degraded {
-		t.Fatal("breaker must be open after an over-budget plan")
-	}
-	// Cooldown epochs route greedy and count as degraded; transfers still
-	// complete on the healthy network.
-	for i := 1; i < 3; i++ {
-		got, err := svc.Submit(subs[i%len(subs)])
-		if err != nil {
-			t.Fatal(err)
-		}
-		final := stepUntilTerminal(t, svc, got.ID, 5)
-		if final.State != StateCompleted {
-			t.Fatalf("degraded-epoch transfer = %q (%s)", final.State, final.Error)
-		}
-	}
-	st = svc.Status()
-	if st.DegradedEpochs < 2 {
-		t.Fatalf("degraded epochs = %d, want >= 2", st.DegradedEpochs)
-	}
-	if v := reg.Counter("service.degraded_epochs").Value(); v != st.DegradedEpochs {
-		t.Fatalf("counter/status degraded epochs disagree: %d vs %d", v, st.DegradedEpochs)
 	}
 }
 

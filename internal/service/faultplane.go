@@ -15,8 +15,8 @@ import (
 // instead of per-transfer in slot time. Where the engine's per-transfer
 // injectors model what one communication experiences, the plane models what
 // the control plane *knows* — which fibers and nodes are down right now,
-// which links are drifting — so planning can route around outages, admission
-// can report degraded state, and fault telemetry can trigger re-planning.
+// which links are drifting — so every epoch plans around the current outages
+// and /status and GET /v1/faults report them.
 //
 // Determinism: the plane owns one rng stream (split from the service seed)
 // and advances only in Step, so a fixed sequence of Step and StepEpoch calls
@@ -89,19 +89,10 @@ func (fp *FaultPlane) Profile() faults.Profile {
 	return fp.profile
 }
 
-// Active reports whether the plane currently injects anything.
-func (fp *FaultPlane) Active() bool {
-	fp.mu.Lock()
-	defer fp.mu.Unlock()
-	return fp.inj != nil
-}
-
 // Step advances the plane one tick: every fiber and node of the network is in
 // scope, transitions are sampled from the plane's own stream, and each event
 // lands on the fault.* counters and the trace. It returns how many *outage*
-// events (fiber/node/region crashes) fired, the signal the service
-// accumulates toward a fault-triggered re-plan; repairs and drift do not
-// count — a recovering network should not trigger re-planning by itself.
+// events (fiber/node/region crashes) fired; repairs and drift do not count.
 func (fp *FaultPlane) Step() int {
 	fp.mu.Lock()
 	defer fp.mu.Unlock()

@@ -16,7 +16,8 @@ const (
 	// SegQueueWait is admission to first epoch dispatch: time spent in the
 	// bounded queue before the transfer's first attempt.
 	SegQueueWait = "queue_wait"
-	// SegPlan is epoch dispatch to plan completion: LP (or greedy) routing.
+	// SegPlan is epoch dispatch to plan completion: freezing the fault
+	// overlay and planning the batch on the masked network.
 	SegPlan = "plan"
 	// SegExecute is plan completion to attempt verdict: engine execution and
 	// decode.

@@ -3,6 +3,7 @@ package service
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"strconv"
 
@@ -15,7 +16,7 @@ import (
 //	                               Retry-After; 503 draining; 400 invalid)
 //	GET  /v1/transfers/{id}        transfer status (200; 404 unknown)
 //	GET  /v1/transfers/{id}/trace  flight timeline + latency attribution
-//	                               (200; 404 unknown or recording disabled)
+//	                               (200; 404 unknown)
 //	GET  /v1/network               network snapshot (nodes, fibers, roles)
 //	GET  /v1/faults                live fault-plane snapshot + armed scenario
 //	POST /v1/faults                swap the live fault scenario (200; 400)
@@ -24,6 +25,7 @@ import (
 //
 // Every non-2xx response under /v1/ carries the JSON error envelope — a
 // catch-all turns the mux's bare 404s on unmatched /v1/ paths into it too.
+// A POST body longer than maxBodyBytes is a 400.
 //
 // RegisterRoutes mounts these on any mux-like mount function — in the
 // daemon, the obs.Server's mux, so the ops plane and the serving plane share
@@ -51,6 +53,19 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
+// maxBodyBytes caps a POST body. A transfer request takes under 200 bytes,
+// and 64 KiB holds a fault script of some 4 000 outages.
+const maxBodyBytes = 64 << 10
+
+// decodeBody decodes r's JSON body into v, reading at most maxBodyBytes of
+// it; the error is the 400 response's message.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v); err != nil {
+		return fmt.Errorf("invalid JSON: %w", err)
+	}
+	return nil
+}
+
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -61,8 +76,8 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req TransferRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "invalid JSON: " + err.Error()})
+	if err := decodeBody(w, r, &req); err != nil {
+		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
 		return
 	}
 	st, err := s.Submit(req)
@@ -123,8 +138,8 @@ func (s *Service) handleGetFaults(w http.ResponseWriter, r *http.Request) {
 // current scenario; an empty object clears all injected faults.
 func (s *Service) handleSetFaults(w http.ResponseWriter, r *http.Request) {
 	var profile faults.Profile
-	if err := json.NewDecoder(r.Body).Decode(&profile); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "invalid JSON: " + err.Error()})
+	if err := decodeBody(w, r, &profile); err != nil {
+		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
 		return
 	}
 	if err := s.SetFaultProfile(profile); err != nil {

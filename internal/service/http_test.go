@@ -135,6 +135,49 @@ func TestHTTPBadRequests(t *testing.T) {
 	}
 }
 
+// TestHTTPBodyCapped pins the POST body cap on both admission endpoints: a
+// valid body padded with whitespace to maxBodyBytes is served, and one byte
+// more is a 400 with the JSON error envelope.
+func TestHTTPBodyCapped(t *testing.T) {
+	_, subs, srv := apiFixture(t, Config{FaultTick: -1})
+	transfer, err := json.Marshal(subs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		path string
+		body []byte
+		ok   int
+	}{
+		{"/v1/transfers", transfer, http.StatusAccepted},
+		{"/v1/faults", []byte(`{"fiber_crash_prob":0.1}`), http.StatusOK},
+	} {
+		for _, size := range []int{maxBodyBytes, maxBodyBytes + 1} {
+			// JSON allows whitespace after the opening brace, so only the
+			// size decides the answer.
+			body := append([]byte("{"), bytes.Repeat([]byte(" "), size-len(tc.body))...)
+			body = append(body, tc.body[1:]...)
+			resp, err := http.Post(srv.URL+tc.path, "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var eb errorBody
+			decodeErr := json.NewDecoder(resp.Body).Decode(&eb)
+			resp.Body.Close()
+			want := tc.ok
+			if size > maxBodyBytes {
+				want = http.StatusBadRequest
+			}
+			if resp.StatusCode != want {
+				t.Fatalf("POST %s of %d bytes = %d, want %d", tc.path, size, resp.StatusCode, want)
+			}
+			if want == http.StatusBadRequest && (decodeErr != nil || eb.Error == "") {
+				t.Fatalf("POST %s of %d bytes: 400 without the JSON error envelope (%v)", tc.path, size, decodeErr)
+			}
+		}
+	}
+}
+
 func TestHTTPNetworkSnapshot(t *testing.T) {
 	svc, _, srv := apiFixture(t, Config{})
 	resp, err := http.Get(srv.URL + "/v1/network")

@@ -10,11 +10,9 @@
 //
 // The service also hosts the live fault plane (FaultPlane): one fault
 // scenario stepped against the whole network in epoch-tick time. Each epoch
-// plans on the fault-masked topology and executes under a static overlay
-// snapshot, accumulated outage events trigger early re-plans, transfers carry
-// deadlines and retry budgets and fail with a machine-readable failure class
-// (shed, deadline, no_path, decode), and a circuit breaker degrades planning
-// to greedy routing when the LP solve errors or blows its wall-clock budget.
+// plans cold on the fault-masked topology and executes under a static overlay
+// snapshot; transfers carry deadlines and retry budgets and fail with a
+// machine-readable failure class (shed, deadline, no_path, decode).
 //
 // Determinism: epoch e executes on the rng sub-stream SplitN("epoch", e) of
 // the service's root source and runs through the core engine's parallel
@@ -55,7 +53,7 @@ var (
 	ErrUnknownTransfer = errors.New("service: unknown transfer")
 )
 
-// Retry and degraded-mode bounds.
+// Retry bounds.
 const (
 	// maxRetryBudget caps the per-transfer retry budget a client may request.
 	// It also bounds a transfer's flight: admitted and queue_enter, then at
@@ -91,7 +89,7 @@ type Config struct {
 	// Metrics receives service counters, gauges, and the latency HDR
 	// histograms; nil instruments are no-ops.
 	Metrics *telemetry.Registry
-	// Tracer receives fault-plane and service trace events; nil disables.
+	// Tracer receives the fault plane's service.fault events; nil disables.
 	Tracer telemetry.Tracer
 	// DrainHook, when non-nil, runs exactly once at the start of a drain —
 	// before the final epochs execute — so the daemon can flip /readyz off
@@ -106,19 +104,6 @@ type Config struct {
 	// Zero selects 250ms; negative disables ticking (tests call StepFaults
 	// directly for a deterministic timeline).
 	FaultTick time.Duration
-	// FaultReplanThreshold is how many accumulated outage events (fiber,
-	// node, or regional crashes) trigger an early fault-triggered re-plan.
-	// Zero selects 4; negative disables the trigger.
-	FaultReplanThreshold int
-
-	// PlanBudget is the wall-clock budget for one LP plan. A plan error or
-	// an over-budget solve trips the degraded-mode circuit breaker: the
-	// service routes with greedy admission for BreakerCooldown epochs.
-	// Zero disables the budget (plan errors still trip the breaker).
-	PlanBudget time.Duration
-	// BreakerCooldown is how many epochs the breaker stays open after
-	// tripping. Zero selects 4.
-	BreakerCooldown int
 
 	// FlightClock is the clock flight events and transfer deadlines read.
 	// Nil selects time.Now; tests inject a deterministic clock.
@@ -140,12 +125,6 @@ func (c *Config) fill() {
 	}
 	if c.FaultTick == 0 {
 		c.FaultTick = 250 * time.Millisecond
-	}
-	if c.FaultReplanThreshold == 0 {
-		c.FaultReplanThreshold = 4
-	}
-	if c.BreakerCooldown == 0 {
-		c.BreakerCooldown = 4
 	}
 }
 
@@ -257,16 +236,6 @@ type Status struct {
 	Retries int64 `json:"retries,omitempty"`
 	// FailedByClass splits Failed by failure class, service-wide.
 	FailedByClass map[string]int64 `json:"failed_by_class,omitempty"`
-	// Degraded reports whether the planning circuit breaker is open
-	// (greedy routing); DegradedEpochs counts epochs routed that way.
-	Degraded       bool  `json:"degraded"`
-	DegradedEpochs int64 `json:"degraded_epochs,omitempty"`
-	// ReplansScheduled and ReplansFaultTriggered split epoch plans by what
-	// initiated them; FaultInvalidations counts fault-triggered re-plan
-	// requests.
-	ReplansScheduled      int64 `json:"replans_scheduled,omitempty"`
-	ReplansFaultTriggered int64 `json:"replans_fault_triggered,omitempty"`
-	FaultInvalidations    int64 `json:"fault_invalidations,omitempty"`
 	// RetryAfterSeconds is the backoff hint 429 responses currently carry,
 	// derived from the observed epoch wall-clock p50.
 	RetryAfterSeconds int `json:"retry_after_seconds"`
@@ -326,12 +295,6 @@ type Service struct {
 	failedDeadline *telemetry.Counter
 	failedNoPath   *telemetry.Counter
 	failedDecode   *telemetry.Counter
-	replanSched    *telemetry.Counter
-	replanFault    *telemetry.Counter
-	invalidations  *telemetry.Counter
-	breakerTrips   *telemetry.Counter
-	degradedCtr    *telemetry.Counter
-	degradedGauge  *telemetry.Gauge
 	queueDepth     *telemetry.Gauge
 	wall           *telemetry.HDR
 	epochWall      *telemetry.HDR
@@ -358,23 +321,13 @@ type Service struct {
 	epoch     int64
 	draining  bool
 	drained   chan struct{} // closed when a drain has fully completed
-	// faultAccum accumulates outage events toward FaultReplanThreshold;
-	// faultTriggered is the sticky marker the next planned epoch consumes.
-	faultAccum     int
-	faultTriggered bool
-	// breakerUntil is the first epoch the planning breaker is closed again.
-	breakerUntil int64
+	// retries counts re-queues granted; the tenant records, which hold
+	// every other /status total, have no retry field.
+	retries int64
 	// recent rings the last bundleFlights terminal transfers for
 	// /debug/bundle; recentNext is the slot the next one lands in.
 	recent     [bundleFlights]*transfer
 	recentNext int
-	// totals mirror the registry counters so Status works without metrics.
-	totals struct {
-		admitted, completed, failed, shed       int64
-		retries, degradedEpochs                 int64
-		replanSched, replanFault, invalidations int64
-		failedByClass                           map[string]int64
-	}
 }
 
 // New builds a service over an engine and planner. The planner's design
@@ -405,12 +358,6 @@ func New(eng *core.Engine, pl *routing.Planner, cfg Config) (*Service, error) {
 		failedDeadline: reg.Counter("service.failed_deadline"),
 		failedNoPath:   reg.Counter("service.failed_no_path"),
 		failedDecode:   reg.Counter("service.failed_decode"),
-		replanSched:    reg.Counter("service.replans_scheduled"),
-		replanFault:    reg.Counter("service.replans_fault_triggered"),
-		invalidations:  reg.Counter("service.fault_invalidations"),
-		breakerTrips:   reg.Counter("service.breaker_trips"),
-		degradedCtr:    reg.Counter("service.degraded_epochs"),
-		degradedGauge:  reg.Gauge("service.degraded"),
 		queueDepth:     reg.Gauge("service.queue_depth"),
 		wake:           make(chan struct{}, 1),
 		transfers:      make(map[string]*transfer),
@@ -433,7 +380,6 @@ func New(eng *core.Engine, pl *routing.Planner, cfg Config) (*Service, error) {
 	}
 	origin := s.now()
 	s.wallNs = func() int64 { return int64(s.now().Sub(origin)) }
-	s.totals.failedByClass = make(map[string]int64)
 	var profile faults.Profile
 	if cfg.Faults != nil {
 		profile = *cfg.Faults
@@ -468,13 +414,11 @@ func (s *Service) Submit(req TransferRequest) (TransferStatus, error) {
 	tn := s.tenantLocked(req.Tenant)
 	if s.draining {
 		tn.Shed++
-		s.totals.shed++
 		s.shed.Inc()
 		return TransferStatus{}, ErrDraining
 	}
 	if len(s.queue) >= s.cfg.QueueLimit {
 		tn.Shed++
-		s.totals.shed++
 		s.shed.Inc()
 		return TransferStatus{}, ErrQueueFull
 	}
@@ -501,7 +445,6 @@ func (s *Service) Submit(req TransferRequest) (TransferStatus, error) {
 	t.flight.Record(telemetry.FlightAdmitted, s.epoch, 0, 0, 0, "")
 	t.flight.Record(telemetry.FlightQueueEnter, s.epoch, int64(len(s.queue)), 0, 0, "")
 	tn.Admitted++
-	s.totals.admitted++
 	s.admitted.Inc()
 	s.queueDepth.Set(float64(len(s.queue)))
 	s.queueDepthHist.Observe(float64(len(s.queue)))
@@ -567,35 +510,30 @@ func (s *Service) Status() Status {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := Status{
-		Draining:              s.draining,
-		QueueDepth:            len(s.queue),
-		Admitted:              s.totals.admitted,
-		Completed:             s.totals.completed,
-		Failed:                s.totals.failed,
-		Shed:                  s.totals.shed,
-		Epochs:                s.epoch,
-		Tenants:               make(map[string]TenantStats, len(s.tenants)),
-		Retrying:              len(s.retryQ),
-		Retries:               s.totals.retries,
-		Degraded:              s.breakerUntil > s.epoch,
-		DegradedEpochs:        s.totals.degradedEpochs,
-		ReplansScheduled:      s.totals.replanSched,
-		ReplansFaultTriggered: s.totals.replanFault,
-		FaultInvalidations:    s.totals.invalidations,
-		RetryAfterSeconds:     hint,
+		Draining:          s.draining,
+		QueueDepth:        len(s.queue),
+		Epochs:            s.epoch,
+		Tenants:           make(map[string]TenantStats, len(s.tenants)),
+		Retrying:          len(s.retryQ),
+		Retries:           s.retries,
+		RetryAfterSeconds: hint,
 	}
-	if len(s.totals.failedByClass) > 0 {
-		st.FailedByClass = make(map[string]int64, len(s.totals.failedByClass))
-		for k, v := range s.totals.failedByClass {
-			st.FailedByClass[k] = v
-		}
-	}
+	// The service-wide totals are the sums of the tenant records: every
+	// submission lands on exactly one record, which also takes its outcome.
 	for name, ts := range s.tenants {
 		c := *ts
+		st.Admitted += c.Admitted
+		st.Completed += c.Completed
+		st.Failed += c.Failed
+		st.Shed += c.Shed
 		if len(ts.FailedByClass) > 0 {
 			c.FailedByClass = make(map[string]int64, len(ts.FailedByClass))
+			if st.FailedByClass == nil {
+				st.FailedByClass = make(map[string]int64)
+			}
 			for k, v := range ts.FailedByClass {
 				c.FailedByClass[k] = v
+				st.FailedByClass[k] += v
 			}
 		}
 		st.Tenants[name] = c
@@ -648,34 +586,10 @@ func (s *Service) FaultState() FaultState { return s.plane.State() }
 // FaultProfile returns the scenario currently armed on the fault plane.
 func (s *Service) FaultProfile() faults.Profile { return s.plane.Profile() }
 
-// StepFaults advances the live fault plane one tick and feeds its outage
-// events into the re-planning trigger: once FaultReplanThreshold events have
-// accumulated, the next epoch is woken early and marked fault-triggered. It
-// returns the tick's outage event count. Run calls this on the FaultTick
-// cadence; tests call it directly.
-func (s *Service) StepFaults() int {
-	down := s.plane.Step()
-	if down == 0 || s.cfg.FaultReplanThreshold < 0 {
-		return down
-	}
-	s.mu.Lock()
-	s.faultAccum += down
-	trig := s.faultAccum >= s.cfg.FaultReplanThreshold
-	if trig {
-		s.faultAccum = 0
-		s.faultTriggered = true
-		s.totals.invalidations++
-	}
-	s.mu.Unlock()
-	if trig {
-		s.invalidations.Inc()
-		if s.cfg.Tracer != nil {
-			s.cfg.Tracer.Emit(telemetry.Ev("service.fault_replan", "events", s.cfg.FaultReplanThreshold))
-		}
-		s.wakeUp()
-	}
-	return down
-}
+// StepFaults advances the live fault plane one tick and returns the tick's
+// outage event count. The next epoch plans on the new fault state. Run calls
+// this on the FaultTick cadence; tests call it directly.
+func (s *Service) StepFaults() int { return s.plane.Step() }
 
 // wakeUp pokes the Run loop without blocking.
 func (s *Service) wakeUp() {
@@ -687,13 +601,13 @@ func (s *Service) wakeUp() {
 
 // StepEpoch synchronously executes one epoch: it promotes due retries, takes
 // up to EpochMax queued transfers, fails the ones whose deadline has already
-// passed, plans the rest on the fault-masked network (LP, or greedy
-// while the breaker is open), runs the schedule on the parallel engine under
-// the epoch's fault overlay, and classifies every outcome — completing,
-// re-queueing (budget permitting), or failing with a failure class. It
-// returns how many transfers it processed (0 = nothing runnable). Admitted
-// work always reaches a terminal state; structural planning or execution
-// errors are returned for logging after the batch is settled.
+// passed, plans the rest cold on the fault-masked network, runs the schedule
+// on the parallel engine under the epoch's fault overlay, and classifies
+// every outcome — completing, re-queueing (budget permitting), or failing
+// with a failure class. It returns how many transfers it processed (0 =
+// nothing runnable). Admitted work always reaches a terminal state;
+// structural planning or execution errors are returned for logging after the
+// batch is settled.
 func (s *Service) StepEpoch(ctx context.Context) (int, error) {
 	s.mu.Lock()
 	s.promoteRetriesLocked()
@@ -725,20 +639,7 @@ func (s *Service) StepEpoch(ctx context.Context) (int, error) {
 			s.queueWait.Observe(dispatch.Sub(t.submitted).Seconds())
 		}
 	}
-	faultTrig := s.faultTriggered
-	s.faultTriggered = false
-	breakerOpen := s.breakerUntil > epoch
-	if faultTrig {
-		s.totals.replanFault++
-	} else {
-		s.totals.replanSched++
-	}
 	s.mu.Unlock()
-	if faultTrig {
-		s.replanFault.Inc()
-	} else {
-		s.replanSched.Inc()
-	}
 
 	start := time.Now()
 	// Deadline sweep: a transfer whose TTL has already expired fails now,
@@ -781,14 +682,14 @@ func (s *Service) StepEpoch(ctx context.Context) (int, error) {
 		}
 	}
 	planNet := overlay.Mask(s.eng.Network())
-	sched, mode, err := s.planEpoch(planNet, reqs, epoch, breakerOpen)
+	sched, err := s.pl.Plan(planNet, reqs)
 	if err != nil {
 		s.settleFailures(live, epoch, FailNoPath, fmt.Errorf("planning: %w", err))
 		s.epochWall.Observe(time.Since(start).Seconds())
 		return n, fmt.Errorf("service: epoch %d planning: %w", epoch, err)
 	}
 	for _, t := range live {
-		t.flight.Record(telemetry.FlightPlanned, epoch, int64(len(live)), 0, 0, mode)
+		t.flight.Record(telemetry.FlightPlanned, epoch, int64(len(live)), 0, 0, "")
 	}
 	res, err := s.execute(ctx, sched, epoch, overlay)
 	if err != nil {
@@ -842,66 +743,12 @@ func (s *Service) StepEpoch(ctx context.Context) (int, error) {
 			s.wall.Observe(t.status.WallLatencySeconds)
 			s.tenantWallLocked(t.status.Tenant).Observe(t.status.WallLatencySeconds)
 			s.tenantLocked(t.status.Tenant).Completed++
-			s.totals.completed++
 			s.completed.Inc()
 		}
 	}
 	s.mu.Unlock()
 	s.epochWall.Observe(time.Since(start).Seconds())
 	return n, nil
-}
-
-// Plan modes, reported on the flights' planned events: cold solved the LP
-// relaxation, degraded routed greedy (breaker open or plan-error fallback).
-const (
-	planModeCold     = "cold"
-	planModeDegraded = "degraded"
-)
-
-// planEpoch schedules one epoch's requests and reports the plan mode. With
-// the breaker open it routes greedy outright; otherwise it runs the LP
-// planner under PlanBudget and trips the breaker on an error (greedy fallback
-// now) or an over-budget solve (the slow-but-valid schedule is still used;
-// the cooldown epochs degrade).
-func (s *Service) planEpoch(net *network.Network, reqs []network.Request, epoch int64, breakerOpen bool) (routing.Schedule, string, error) {
-	if breakerOpen {
-		s.degradedEpoch()
-		sched, err := routing.Greedy(net, reqs, s.pl.Params(), nil, nil)
-		return sched, planModeDegraded, err
-	}
-	s.degradedGauge.Set(0)
-	planStart := time.Now()
-	sched, err := s.pl.Plan(net, reqs)
-	overBudget := s.cfg.PlanBudget > 0 && time.Since(planStart) > s.cfg.PlanBudget
-	if err == nil && !overBudget {
-		return sched, planModeCold, nil
-	}
-	s.mu.Lock()
-	s.breakerUntil = epoch + 1 + int64(s.cfg.BreakerCooldown)
-	s.mu.Unlock()
-	s.breakerTrips.Inc()
-	if s.cfg.Tracer != nil {
-		reason := "plan-error"
-		if err == nil {
-			reason = "plan-over-budget"
-		}
-		s.cfg.Tracer.Emit(telemetry.Ev("service.breaker_open", "reason", reason, "epoch", epoch))
-	}
-	if err == nil {
-		return sched, planModeCold, nil
-	}
-	s.degradedEpoch()
-	sched, gerr := routing.Greedy(net, reqs, s.pl.Params(), nil, nil)
-	return sched, planModeDegraded, gerr
-}
-
-// degradedEpoch accounts one epoch routed in degraded (greedy) mode.
-func (s *Service) degradedEpoch() {
-	s.degradedCtr.Inc()
-	s.degradedGauge.Set(1)
-	s.mu.Lock()
-	s.totals.degradedEpochs++
-	s.mu.Unlock()
 }
 
 // execute runs one epoch's schedule under the live fault overlay merged with
@@ -965,7 +812,7 @@ func (s *Service) retryOrFailLocked(t *transfer, epoch int64, class, msg string)
 		t.notBefore = epoch + backoff
 		t.flight.Record(telemetry.FlightRetryScheduled, epoch, backoff, t.notBefore, 0, class)
 		s.retryQ = append(s.retryQ, t)
-		s.totals.retries++
+		s.retries++
 		s.retriesCtr.Inc()
 		return
 	}
@@ -986,8 +833,6 @@ func (s *Service) finalizeFailureLocked(t *transfer, epoch int64, class, msg str
 		tn.FailedByClass = make(map[string]int64)
 	}
 	tn.FailedByClass[class]++
-	s.totals.failedByClass[class]++
-	s.totals.failed++
 	s.failed.Inc()
 	switch class {
 	case FailDeadline:

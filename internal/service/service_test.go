@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -148,8 +149,13 @@ func TestTenantNamesRenderOneFamily(t *testing.T) {
 // TestTenantAccountingBounded pins the tenant cardinality cap: shed
 // submissions under ever-new tenant names must not grow /status without
 // bound. Names past maxTenants share one "other" record, and no shed is lost.
+// The service-wide totals are the tenant sums and agree with the counters
+// /metrics serves, across completed, failed and shed transfers.
 func TestTenantAccountingBounded(t *testing.T) {
-	svc, subs := fixture(t, Config{QueueLimit: 1, FaultTick: -1})
+	reg := telemetry.NewRegistry()
+	clock := time.Unix(0, 0)
+	svc, subs := fixture(t, Config{QueueLimit: 1, FaultTick: -1, Metrics: reg,
+		FlightClock: func() time.Time { return clock }})
 	if _, err := svc.Submit(subs[0]); err != nil {
 		t.Fatal(err)
 	}
@@ -170,6 +176,65 @@ func TestTenantAccountingBounded(t *testing.T) {
 	}
 	if st.Shed != 1000 || shed != st.Shed {
 		t.Fatalf("tenant sheds sum to %d, status shed %d, want 1000 each", shed, st.Shed)
+	}
+
+	// subs[0] completes; then, with every fiber down, a named tenant and an
+	// overflow tenant each fail no_path, and a tenant-a transfer misses its
+	// deadline, as step advances the clock past it.
+	step := func(sub TransferRequest) {
+		t.Helper()
+		if _, err := svc.Submit(sub); err != nil {
+			t.Fatal(err)
+		}
+		clock = clock.Add(time.Second)
+		if _, err := svc.StepEpoch(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := svc.StepEpoch(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.SetFaultProfile(faults.Profile{DownFibers: allFiberIDs(svc)}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tenant := range []string{"tenant-5", "overflow"} {
+		sub := subs[2]
+		sub.Tenant = tenant
+		step(sub)
+	}
+	expiring := subs[3]
+	expiring.Tenant = subs[0].Tenant
+	expiring.DeadlineMs = 1
+	step(expiring)
+
+	st = svc.Status()
+	sum := TenantStats{FailedByClass: map[string]int64{}}
+	for _, ts := range st.Tenants {
+		sum.Admitted += ts.Admitted
+		sum.Completed += ts.Completed
+		sum.Failed += ts.Failed
+		sum.Shed += ts.Shed
+		for class, n := range ts.FailedByClass {
+			sum.FailedByClass[class] += n
+		}
+	}
+	want := TenantStats{Admitted: 4, Completed: 1, Failed: 3, Shed: 1000,
+		FailedByClass: map[string]int64{FailNoPath: 2, FailDeadline: 1}}
+	if !reflect.DeepEqual(sum, want) {
+		t.Fatalf("tenant sums = %+v, want %+v", sum, want)
+	}
+	got := TenantStats{Admitted: st.Admitted, Completed: st.Completed, Failed: st.Failed,
+		Shed: st.Shed, FailedByClass: st.FailedByClass}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("status totals = %+v, want the tenant sums %+v", got, want)
+	}
+	for name, n := range map[string]int64{
+		"service.admitted": 4, "service.completed": 1, "service.failed": 3, "service.shed": 1000,
+		"service.failed_no_path": 2, "service.failed_deadline": 1,
+	} {
+		if v := reg.Counter(name).Value(); v != n {
+			t.Fatalf("%s = %d, want %d", name, v, n)
+		}
 	}
 }
 

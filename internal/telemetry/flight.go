@@ -32,8 +32,8 @@ const (
 	// FlightEpochAssigned binds the transfer to the epoch that will plan and
 	// execute it; A carries the epoch number.
 	FlightEpochAssigned
-	// FlightPlanned marks the end of the epoch's planning step; Note carries
-	// the plan mode (cold or degraded) and A the batch size planned.
+	// FlightPlanned marks the end of the epoch's planning step; A carries
+	// the batch size planned.
 	FlightPlanned
 	// FlightFaultCoincident marks that the attempt ran while the live fault
 	// plane had outages in effect; A and B carry the down fiber and node

@@ -2,10 +2,10 @@
 # Chaos smoke: run the resident daemon with the live fault plane armed — the
 # resilience scenario at 4x intensity plus a scripted node outage landing
 # immediately — and drive it with a retrying surfload while faults churn
-# underneath. Asserts the robustness contract end to end: fault events and
-# fault-triggered re-plans are visible on /metrics and /status, admission
-# retries are honored, and a SIGTERM mid-chaos still satisfies the zero-drop
-# drain (admitted == completed + failed) with a clean exit.
+# underneath. Asserts the robustness contract end to end: fault events are
+# visible on /metrics and /status, admission retries are honored, and a
+# SIGTERM mid-chaos still satisfies the zero-drop drain
+# (admitted == completed + failed) with a clean exit.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -17,12 +17,11 @@ trap 'kill "$pid" 2>/dev/null || true; wait "$pid" 2>/dev/null || true; rm -rf "
 go build -o "$workdir/surfnetd" ./cmd/surfnetd
 go build -o "$workdir/surfload" ./cmd/surfload
 
-# A fast fault tick and a low replan threshold so the chaos plumbing is
-# exercised within seconds: the script cuts node 1 at relative slot 0 for
-# 2000 slots, and the stochastic 4x resilience scenario churns on top.
+# A fast fault tick so the chaos plumbing is exercised within seconds: the
+# script cuts node 1 at relative slot 0 for 2000 slots, and the stochastic 4x
+# resilience scenario churns on top.
 "$workdir/surfnetd" -listen 127.0.0.1:0 -queue-limit 64 -epoch-max 8 \
   -faults 4 -fault-script '0:node:1:2000' -fault-tick 25ms \
-  -fault-replan-threshold 2 \
   2>"$stderr" &
 pid=$!
 
@@ -78,24 +77,18 @@ assert "retries/op" in b["extra"], b["extra"]
 EOF
 
 # Fault-plane metric families must be live and nonzero: the scripted outage
-# alone guarantees at least one fault event, and the low threshold under 4x
-# churn guarantees fault-triggered re-plans.
+# alone guarantees at least one fault event.
 metrics="$workdir/metrics.txt"
 curl -fsS "http://$addr/metrics" >"$metrics"
 grep -q '^surfnet_fault_events_total [1-9]' "$metrics" \
   || { echo "no fault events counted in /metrics"; cat "$metrics"; exit 1; }
-grep -q '^surfnet_service_fault_invalidations_total [1-9]' "$metrics" \
-  || { echo "no fault invalidations counted in /metrics"; cat "$metrics"; exit 1; }
-grep -q '^surfnet_service_replans_fault_triggered_total [1-9]' "$metrics" \
-  || { echo "no fault-triggered replans counted in /metrics"; cat "$metrics"; exit 1; }
 
-# /status must carry the fault-plane snapshot and the replan split.
+# /status must carry the fault-plane snapshot and the tenant accounting.
 curl -fsS "http://$addr/status" | python3 -c '
 import json, sys
 st = json.load(sys.stdin)["service"]
 assert st["faults"]["enabled"], st
 assert st["faults"]["events"] >= 1, st
-assert st["replans_fault_triggered"] >= 1, st
 assert st["admitted"] >= 1, st
 for name, t in st.get("tenants", {}).items():
     assert t["admitted"] == t["completed"] + t["failed"], (name, t)

@@ -19,11 +19,11 @@ go build -o "$workdir/surfnetd" ./cmd/surfnetd
 go build -o "$workdir/surfload" ./cmd/surfload
 go build -o "$workdir/traceview" ./cmd/traceview
 
-# Chaos armed: the 2x resilience scenario plus a scripted node outage, with a
-# low replan threshold so fault stalls land within seconds.
+# Chaos armed: the 2x resilience scenario plus a scripted node outage, live
+# from the first fault tick. An attempt that runs under an outage records
+# fault_coincident, and a retry after it charges its wait to fault_stall.
 "$workdir/surfnetd" -listen 127.0.0.1:0 -queue-limit 64 -epoch-max 8 \
   -faults 2 -fault-script '0:node:1:2000' -fault-tick 25ms \
-  -fault-replan-threshold 2 \
   2>"$stderr" &
 pid=$!
 
