@@ -64,7 +64,8 @@ bench-save:
 	$(MAKE) bench-json
 
 # Launch surfnetsim with the obs server on a tiny figure and curl its
-# endpoints (same script CI runs).
+# endpoints: well-formed /metrics with the per-decode wall-time histogram
+# counting mid-run, live /status progress, pprof (same script CI runs).
 obs-smoke:
 	./scripts/obs_smoke.sh
 

@@ -46,7 +46,6 @@ func run() (exit int) {
 	netCfg.Workers = obs.Workers
 	netCfg.Metrics = obs.Registry
 	netCfg.Tracer = obs.TracerOrNil()
-	netCfg.Wall = obs.Wall
 	netCfg.Progress = obs.Progress
 
 	decCfg := experiments.DecoderStudyConfig{

@@ -104,7 +104,6 @@ func run() (exit int) {
 	cfg.Workers = obs.Workers
 	cfg.Metrics = obs.Registry
 	cfg.Tracer = obs.TracerOrNil()
-	cfg.Wall = obs.Wall
 	cfg.Progress = obs.Progress
 	cfg.Engine.RecoveryBackoff = *backoff
 	cfg.Engine.RecoveryBackoffMax = *backoffMax

@@ -98,7 +98,6 @@ func run() (exit int) {
 	cfg.Workers = obs.Workers
 	cfg.Metrics = obs.Registry
 	cfg.Tracer = obs.TracerOrNil()
-	cfg.Wall = obs.Wall
 	cfg.Progress = obs.Progress
 
 	runFig := func(name string) error {

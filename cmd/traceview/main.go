@@ -16,8 +16,10 @@
 //     bundled flight, slowest first, plus a cross-flight attribution rollup.
 //
 // Durations in the deterministic span trace are measured in slots, the
-// engine's causal clock; wall-clock latency lives in the telemetry histograms
-// (<stage>_wall_seconds in -metrics-out and /metrics) and in flight traces.
+// engine's causal clock, and spans carry no wall time. Wall-clock latency
+// lives in the registry's HDR histograms (decoder.<name>.decode_seconds and
+// the daemon's service.*_wall_seconds, in -metrics-out and /metrics) and in
+// flight traces.
 //
 // Usage:
 //

@@ -57,18 +57,6 @@ type Observability struct {
 	// back to false when draining).
 	DeferReady bool
 
-	// WallClock enables wall-clock span capture (-wall): spans feed the
-	// <name>_wall_seconds HDR histograms on the registry. Implied by
-	// -slot-budget and -wall-trace-out.
-	WallClock bool
-	// SlotBudget is the per-span wall-clock SLO (-slot-budget) applied to
-	// slot and decode spans; zero disables budget tracking.
-	SlotBudget time.Duration
-	// WallTraceOut, when set, writes budget-overrun events as JSONL to
-	// this file — a separate stream from -trace-out, which must stay
-	// byte-deterministic.
-	WallTraceOut string
-
 	// Registry is non-nil once Start ran with -metrics-out or -listen set,
 	// or after ForceMetrics; pass it to the experiment configs.
 	Registry *telemetry.Registry
@@ -77,18 +65,13 @@ type Observability struct {
 	// Progress is non-nil once Start ran with -listen set; pass it to the
 	// experiment configs so /status shows live sweep progress.
 	Progress *obs.Tracker
-	// Wall is non-nil once Start ran with wall capture enabled; pass it to
-	// the experiment configs as the dual-clock sink.
-	Wall *telemetry.WallSink
 
-	cpuFile    *os.File
-	traceFile  *os.File
-	wallTracer *telemetry.JSONL
-	wallFile   *os.File
-	server     *obs.Server
-	addr       net.Addr
-	ctx        context.Context
-	stop       context.CancelFunc
+	cpuFile   *os.File
+	traceFile *os.File
+	server    *obs.Server
+	addr      net.Addr
+	ctx       context.Context
+	stop      context.CancelFunc
 }
 
 // Addr reports the observability server's bound address ("" before Start or
@@ -123,12 +106,6 @@ func (o *Observability) Register(fs *flag.FlagSet) {
 	fs.StringVar(&o.LogLevel, "log-level", "info", "log threshold: debug, info, warn, or error")
 	fs.IntVar(&o.Workers, "workers", runtime.GOMAXPROCS(0),
 		"trial worker-pool size (results are identical for any value; 1 forces serial)")
-	fs.BoolVar(&o.WallClock, "wall", false,
-		"capture wall-clock span latency into <name>_wall_seconds histograms (results stay byte-identical)")
-	fs.DurationVar(&o.SlotBudget, "slot-budget", 0,
-		"wall-clock SLO per slot/decode span (e.g. 100us); overruns are counted and burn rate served on /status")
-	fs.StringVar(&o.WallTraceOut, "wall-trace-out", "",
-		"write budget-overrun events as JSONL to this file (separate from the deterministic -trace-out stream)")
 }
 
 // ForceMetrics ensures a registry exists even without -metrics-out, for
@@ -196,22 +173,6 @@ func (o *Observability) Start() error {
 		o.traceFile = f
 		o.Tracer = telemetry.NewJSONL(f)
 	}
-	if o.WallClock || o.SlotBudget > 0 || o.WallTraceOut != "" {
-		o.ForceMetrics()
-		o.Wall = telemetry.NewWallSink(o.Registry)
-		if o.SlotBudget > 0 {
-			o.Wall.SetBudget(telemetry.NewBudget(o.SlotBudget))
-		}
-		if o.WallTraceOut != "" {
-			f, err := os.Create(o.WallTraceOut)
-			if err != nil {
-				return fmt.Errorf("wall-trace-out: %w", err)
-			}
-			o.wallFile = f
-			o.wallTracer = telemetry.NewJSONL(f)
-			o.Wall.SetTracer(o.wallTracer)
-		}
-	}
 	if o.CPUProfile != "" {
 		f, err := os.Create(o.CPUProfile)
 		if err != nil {
@@ -233,7 +194,6 @@ func (o *Observability) Start() error {
 		}
 		o.addr = addr
 		slog.Info("observability server listening", "addr", addr.String())
-		o.server.SetBudget(o.Wall.Budget())
 		if !o.DeferReady {
 			o.server.SetReady(true)
 		}
@@ -289,14 +249,6 @@ func (o *Observability) Finish() error {
 	if o.traceFile != nil {
 		keep(wrapErr("trace-out", o.traceFile.Close()))
 		o.traceFile = nil
-	}
-	if o.wallTracer != nil {
-		keep(wrapErr("wall-trace-out", o.wallTracer.Flush()))
-		o.wallTracer = nil
-	}
-	if o.wallFile != nil {
-		keep(wrapErr("wall-trace-out", o.wallFile.Close()))
-		o.wallFile = nil
 	}
 	if o.MetricsOut != "" && o.Registry != nil {
 		f, err := os.Create(o.MetricsOut)

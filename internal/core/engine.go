@@ -126,13 +126,6 @@ type Config struct {
 	// request and code indices, so one communication's life can be
 	// replayed from its trace. Nil disables tracing.
 	Tracer telemetry.Tracer
-	// Wall, when non-nil, additionally captures each span's wall-clock
-	// duration (the dual-clock model): span events on Tracer keep their
-	// deterministic slot durations, and the sink feeds the
-	// <name>_wall_seconds histograms and SLO budget. Wall time never
-	// flows back into the simulation, so enabling it cannot change
-	// results. Nil disables wall capture.
-	Wall *telemetry.WallSink
 }
 
 // DefaultConfig returns the paper-default engine: a distance-5 code, the
@@ -503,7 +496,7 @@ func runPurification(net *network.Network, sched routing.Schedule, cfg Config, r
 	}
 	// The baseline has no epochs or decodes, but its transfer still gets a
 	// root span so every design's latency is decomposable from one trace.
-	spans := telemetry.NewSpanSetWall(cfg.Tracer, ri, ci, cfg.Wall)
+	spans := telemetry.NewSpanSet(cfg.Tracer, ri, ci)
 	transferSpan := spans.Start("transfer", 0, 0)
 	n := sched.Design.PurifyRounds()
 	path := cr.CorePath

@@ -143,7 +143,7 @@ func nodeSeq(net *network.Network, src int, fibers []int) []int {
 // epoch span brackets each route generation (rotated by replan), and every
 // slot gets its own span so latency decomposes causally in the trace.
 func (t *transfer) run() (Outcome, error) {
-	t.spans = telemetry.NewSpanSetWall(t.cfg.Tracer, t.reqIdx, t.codeIdx, t.cfg.Wall)
+	t.spans = telemetry.NewSpanSet(t.cfg.Tracer, t.reqIdx, t.codeIdx)
 	t.transferSpan = t.spans.Start("transfer", 0, 0)
 	t.epochSpan = t.spans.Start("epoch", t.transferSpan, 0)
 	for slot := 0; slot < t.cfg.MaxSlots; slot++ {

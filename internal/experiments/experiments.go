@@ -56,9 +56,6 @@ type Config struct {
 	// Tracer, when non-nil, receives every slot-level and routing event
 	// of every trial. Nil disables tracing.
 	Tracer telemetry.Tracer
-	// Wall, when non-nil, captures wall-clock span durations (and budget
-	// overruns) into Metrics without touching the deterministic outputs.
-	Wall *telemetry.WallSink
 	// Progress, when non-nil, receives a live cell per sweep cell and
 	// per-trial completion counts; the obs HTTP server serves it at
 	// /status. Nil disables progress reporting.
@@ -126,9 +123,6 @@ func runCell(cfg Config, spec trialSpec, label string) (Cell, error) {
 	}
 	if cfg.Engine.Tracer == nil {
 		cfg.Engine.Tracer = cfg.Tracer
-	}
-	if cfg.Engine.Wall == nil {
-		cfg.Engine.Wall = cfg.Wall
 	}
 	if spec.routing.Metrics == nil {
 		spec.routing.Metrics = cfg.Metrics

@@ -32,16 +32,8 @@ func TestFig6aInvariantUnderFullObservability(t *testing.T) {
 		cfg.Metrics = telemetry.NewRegistry()
 		cfg.Tracer = telemetry.NewJSONL(io.Discard)
 		cfg.Progress = obs.NewTracker()
-		// Wall-clock capture with an always-overrunning budget and its own
-		// overrun trace is the worst case for the dual-clock contract: every
-		// span records wall time and fires the budget path, and results must
-		// still be byte-identical.
-		cfg.Wall = telemetry.NewWallSink(cfg.Metrics)
-		cfg.Wall.SetBudget(telemetry.NewBudget(1)) // 1ns: every span overruns
-		cfg.Wall.SetTracer(telemetry.NewJSONL(io.Discard))
 
 		srv := obs.NewServer(cfg.Metrics, cfg.Progress)
-		srv.SetBudget(cfg.Wall.Budget())
 		srv.SetReady(true)
 		ts := httptest.NewServer(srv.Handler())
 
@@ -88,19 +80,6 @@ func TestFig6aInvariantUnderFullObservability(t *testing.T) {
 		if st.TrialsDone != st.TrialsTotal || st.TrialsDone == 0 {
 			t.Fatalf("workers=%d: trials done=%d total=%d, want all reported",
 				w, st.TrialsDone, st.TrialsTotal)
-		}
-
-		// The wall plane must actually have recorded: histograms populated
-		// and every checked span an overrun under the 1ns budget.
-		snap := cfg.Metrics.Snapshot()
-		for _, name := range []string{"transfer_wall_seconds", "slot_wall_seconds"} {
-			if hs, ok := snap.Histograms[name]; !ok || hs.Count == 0 {
-				t.Fatalf("workers=%d: %s missing or empty in snapshot", w, name)
-			}
-		}
-		bst := cfg.Wall.Budget().Status()
-		if bst.Checked == 0 || bst.Overruns != bst.Checked || bst.BurnRate != 1 {
-			t.Fatalf("workers=%d: budget status %+v, want full burn", w, bst)
 		}
 	}
 }

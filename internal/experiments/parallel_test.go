@@ -1,11 +1,16 @@
 package experiments
 
 import (
+	"bytes"
 	"reflect"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"surfnet/internal/decoder"
 	"surfnet/internal/routing"
+	"surfnet/internal/telemetry"
 	"surfnet/internal/topology"
 )
 
@@ -33,6 +38,48 @@ func TestFig6aWorkerInvariance(t *testing.T) {
 		}
 		if !reflect.DeepEqual(rows, want) {
 			t.Fatalf("workers=%d: rows diverge from serial run\ngot  %+v\nwant %+v", w, rows, want)
+		}
+	}
+}
+
+// TestFig6aTraceWorkerInvariance pins the trace-determinism contract of the
+// docs. At one worker a Fig. 6(a) JSONL trace is byte-identical run to run.
+// At any other worker count, trials emit concurrently, so the lines
+// interleave differently but are the same lines: sorted, they equal the
+// one-worker trace's.
+func TestFig6aTraceWorkerInvariance(t *testing.T) {
+	trace := func(workers int) []byte {
+		cfg := tinyConfig()
+		cfg.Trials = 4
+		cfg.Workers = workers
+		var buf bytes.Buffer
+		tr := telemetry.NewJSONL(&buf)
+		cfg.Tracer = tr
+		if _, err := Fig6a(cfg); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if err := tr.Flush(); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		return buf.Bytes()
+	}
+	sortedLines := func(b []byte) []string {
+		lines := strings.Split(string(b), "\n")
+		slices.Sort(lines)
+		return lines
+	}
+
+	serial := trace(1)
+	if len(serial) == 0 {
+		t.Fatal("one-worker trace is empty")
+	}
+	if again := trace(1); !bytes.Equal(again, serial) {
+		t.Fatalf("two one-worker traces differ (%d and %d bytes)", len(serial), len(again))
+	}
+	want := sortedLines(serial)
+	for _, w := range []int{2, 3, runtime.GOMAXPROCS(0)} {
+		if got := sortedLines(trace(w)); !slices.Equal(got, want) {
+			t.Fatalf("workers=%d: trace lines differ from the one-worker trace's (%d lines against %d)", w, len(got), len(want))
 		}
 	}
 }

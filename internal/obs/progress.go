@@ -4,8 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"surfnet/internal/telemetry"
 )
 
 // Tracker aggregates live sweep progress for the /status endpoint. The
@@ -93,9 +91,6 @@ type Status struct {
 	ETASeconds    float64          `json:"eta_seconds"`
 	Cells         []CellStatus     `json:"cells,omitempty"`
 	Counters      map[string]int64 `json:"counters,omitempty"`
-	// Budget reports SLO burn when a latency budget is attached to the
-	// server (see telemetry.Budget); omitted otherwise.
-	Budget *telemetry.BudgetStatus `json:"budget,omitempty"`
 	// Service embeds the resident daemon's snapshot (queue depth, admission
 	// and shed counters, per-tenant accounting) when one is attached via
 	// Server.SetServiceStatus; omitted in batch runs.

@@ -28,7 +28,6 @@ import (
 type Server struct {
 	reg     *telemetry.Registry
 	tracker *Tracker
-	budget  atomic.Pointer[telemetry.Budget]
 	service atomic.Pointer[func() any]
 	mux     *http.ServeMux
 	srv     *http.Server
@@ -77,10 +76,6 @@ func (s *Server) SetServiceStatus(fn func() any) {
 // SetReady flips the /readyz state. The CLI wrapper sets it true once sinks
 // and the experiment harness are wired, and false again during shutdown.
 func (s *Server) SetReady(ready bool) { s.ready.Store(ready) }
-
-// SetBudget attaches a latency budget whose burn rate /status reports. A nil
-// budget detaches it.
-func (s *Server) SetBudget(b *telemetry.Budget) { s.budget.Store(b) }
 
 // Listen binds addr (e.g. ":9090", "127.0.0.1:0") and serves in the
 // background. It returns the bound address so callers can log the resolved
@@ -139,10 +134,6 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	st.UptimeSeconds = time.Since(s.started).Seconds()
 	if s.reg != nil {
 		st.Counters = s.reg.Snapshot().Counters
-	}
-	if b := s.budget.Load(); b != nil {
-		bs := b.Status()
-		st.Budget = &bs
 	}
 	if fn := s.service.Load(); fn != nil {
 		st.Service = (*fn)()

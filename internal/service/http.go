@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 
@@ -25,7 +26,9 @@ import (
 //
 // Every non-2xx response under /v1/ carries the JSON error envelope — a
 // catch-all turns the mux's bare 404s on unmatched /v1/ paths into it too.
-// A POST body longer than maxBodyBytes is a 400.
+// A POST body is a 400 when it is longer than maxBodyBytes, names a field
+// its type does not have, or holds anything but whitespace after its first
+// JSON value.
 //
 // RegisterRoutes mounts these on any mux-like mount function — in the
 // daemon, the obs.Server's mux, so the ops plane and the serving plane share
@@ -58,12 +61,24 @@ type errorBody struct {
 const maxBodyBytes = 64 << 10
 
 // decodeBody decodes r's JSON body into v, reading at most maxBodyBytes of
-// it; the error is the 400 response's message.
+// it; the error is the 400 response's message. The body must be exactly one
+// value of v's shape: an unknown field (a misspelt "retry_budget" would
+// otherwise admit a transfer with no budget) or a second value is refused,
+// while trailing whitespace such as curl's newline is not.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v); err != nil {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("invalid JSON: %w", err)
 	}
-	return nil
+	switch _, err := dec.Token(); {
+	case err == io.EOF:
+		return nil
+	case err != nil:
+		return fmt.Errorf("invalid JSON: trailing data after the first value: %w", err)
+	default:
+		return errors.New("invalid JSON: trailing data after the first value")
+	}
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"surfnet/internal/telemetry"
@@ -175,6 +176,61 @@ func TestHTTPBodyCapped(t *testing.T) {
 				t.Fatalf("POST %s of %d bytes: 400 without the JSON error envelope (%v)", tc.path, size, decodeErr)
 			}
 		}
+	}
+}
+
+// TestHTTPStrictBodies pins the admission decoders to exactly one value of
+// the request's own shape. A misspelt field or a second value is a 400 with
+// the JSON error envelope naming it, and nothing is admitted or armed; a body
+// ending in whitespace, as curl sends it, is still served.
+func TestHTTPStrictBodies(t *testing.T) {
+	transfer := func(sub TransferRequest, extra string) string {
+		return fmt.Sprintf(`{"src":%d,"dst":%d,"messages":1%s}`, sub.Src, sub.Dst, extra)
+	}
+	for _, tc := range []struct {
+		name, path string
+		body       func(sub TransferRequest) string
+		wantErr    string // "" for a served body
+	}{
+		{"unknown-transfer-field", "/v1/transfers",
+			func(sub TransferRequest) string { return transfer(sub, `,"retry_budgte":3`) },
+			`unknown field "retry_budgte"`},
+		{"two-transfer-objects", "/v1/transfers",
+			func(sub TransferRequest) string { return transfer(sub, "") + transfer(sub, "") },
+			"trailing data"},
+		{"unknown-fault-field", "/v1/faults",
+			func(TransferRequest) string { return `{"fiber_crash_prob":0.1,"fiber_repair_slot":5}` },
+			`unknown field "fiber_repair_slot"`},
+		{"transfer-trailing-newline", "/v1/transfers",
+			func(sub TransferRequest) string { return transfer(sub, "") + "\r\n\t \n" },
+			""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			svc, subs, srv := apiFixture(t, Config{FaultTick: -1})
+			resp, err := http.Post(srv.URL+tc.path, "application/json", strings.NewReader(tc.body(subs[0])))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var eb errorBody
+			decodeErr := json.NewDecoder(resp.Body).Decode(&eb)
+			resp.Body.Close()
+			if tc.wantErr == "" {
+				if resp.StatusCode != http.StatusAccepted || svc.Status().Admitted != 1 {
+					t.Fatalf("POST %s = %d, admitted %d; want 202 and one admission",
+						tc.path, resp.StatusCode, svc.Status().Admitted)
+				}
+				return
+			}
+			if resp.StatusCode != http.StatusBadRequest || decodeErr != nil || !strings.Contains(eb.Error, tc.wantErr) {
+				t.Fatalf("POST %s = %d %q (%v), want 400 naming %q", tc.path, resp.StatusCode, eb.Error, decodeErr, tc.wantErr)
+			}
+			if st := svc.Status(); st.Admitted != 0 || st.QueueDepth != 0 {
+				t.Fatalf("refused body admitted %d transfers (queue %d)", st.Admitted, st.QueueDepth)
+			}
+			if fs := svc.FaultState(); fs.Enabled {
+				t.Fatalf("refused body armed the fault plane: %+v", svc.FaultProfile())
+			}
+		})
 	}
 }
 

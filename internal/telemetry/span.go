@@ -18,7 +18,6 @@ package telemetry
 // default: Start returns 0 and End does nothing.
 type SpanSet struct {
 	t         Tracer
-	wall      *WallSink
 	req, code int
 	spans     []spanRec
 }
@@ -27,7 +26,6 @@ type spanRec struct {
 	name      string
 	parent    int
 	startSlot int
-	wallStart int64 // sink clock, ns; 0 when wall capture is off
 	ended     bool
 }
 
@@ -35,21 +33,10 @@ type spanRec struct {
 // the communication's request and code indices (negative omits them). A nil
 // t yields a nil SpanSet, keeping the untraced hot path to one branch.
 func NewSpanSet(t Tracer, req, code int) *SpanSet {
-	return NewSpanSetWall(t, req, code, nil)
-}
-
-// NewSpanSetWall is NewSpanSet with the dual-clock extension: when wall is
-// non-nil, every span additionally measures its wall-clock duration into the
-// sink's per-name histograms (and budget, when one is attached). The
-// deterministic trace stream is untouched — End emits byte-identical events
-// with or without a sink — and wall capture works without a Tracer, so a
-// metrics-only run can still watch decode latency. Only when both t and wall
-// are nil is the SpanSet nil.
-func NewSpanSetWall(t Tracer, req, code int, wall *WallSink) *SpanSet {
-	if t == nil && wall == nil {
+	if t == nil {
 		return nil
 	}
-	return &SpanSet{t: t, wall: wall, req: req, code: code}
+	return &SpanSet{t: t, req: req, code: code}
 }
 
 // Start opens a span named name under parent (0 for a root span) beginning
@@ -59,9 +46,7 @@ func (s *SpanSet) Start(name string, parent, slot int) int {
 	if s == nil {
 		return 0
 	}
-	s.spans = append(s.spans, spanRec{
-		name: name, parent: parent, startSlot: slot, wallStart: s.wall.Now(),
-	})
+	s.spans = append(s.spans, spanRec{name: name, parent: parent, startSlot: slot})
 	return len(s.spans)
 }
 
@@ -78,13 +63,6 @@ func (s *SpanSet) End(id, endSlot int, kv ...any) {
 		return
 	}
 	rec.ended = true
-	if s.wall != nil {
-		s.wall.Record(rec.name, float64(s.wall.Now()-rec.wallStart)/1e9,
-			s.req, s.code, endSlot)
-	}
-	if s.t == nil {
-		return
-	}
 	dur := endSlot - rec.startSlot
 	if dur < 0 {
 		dur = 0

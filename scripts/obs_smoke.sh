@@ -2,9 +2,8 @@
 # Smoke-test the live observability plane: launch surfnetsim with -listen on
 # an ephemeral port and a workload long enough to scrape mid-run, then assert
 # /metrics serves well-formed Prometheus exposition, /healthz answers ok, and
-# /status reports live sweep progress. Runs with -wall and a deliberately
-# unmeetable -slot-budget so the wall-clock histogram families and the
-# budget-overrun counter must appear in /metrics.
+# /status reports live sweep progress. The per-decode wall-time histogram
+# (decoder.surfnet.decode_seconds) must appear in /metrics mid-run.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -15,10 +14,7 @@ trap 'kill "$pid" 2>/dev/null || true; wait "$pid" 2>/dev/null || true; rm -rf "
 
 go build -o "$workdir/surfnetsim" ./cmd/surfnetsim
 
-# -slot-budget 1ns: every span overruns, so the overrun counter is
-# deterministically nonzero by the time the run ends.
 "$workdir/surfnetsim" -fig 6a,6b1,7 -trials 40 -requests 6 \
-  -wall -slot-budget 1ns \
   -listen 127.0.0.1:0 >"$workdir/stdout.log" 2>"$stderr" &
 pid=$!
 
@@ -51,28 +47,19 @@ bad="$(grep -v '^#' "$metrics" | grep -cv '^surfnet_[A-Za-z0-9_]*\({[^}]*}\)\? -
 [ "$bad" -eq 0 ] || { echo "$bad malformed sample lines in /metrics"; cat "$metrics"; exit 1; }
 grep -q '_total ' "$metrics" || { echo "no counters in /metrics"; cat "$metrics"; exit 1; }
 
-# Wall-clock latency observability (-wall -slot-budget): the dual-clock span
-# histograms and the budget-overrun counter must materialize once the first
-# spans complete. With a 1ns budget every checked span overruns, so the
-# counter is strictly positive.
+# Wall time is measured by registry histograms, not spans: the SurfNet
+# decoder's per-decode wall-time histogram must count decodes once the first
+# transfers complete, while the run is still going.
 for _ in $(seq 1 200); do
-  if grep -q '^surfnet_slot_wall_seconds_count [1-9]' "$metrics" \
-    && grep -q '^surfnet_decode_wall_seconds_count [1-9]' "$metrics" \
-    && grep -q '^surfnet_budget_overruns_total [1-9]' "$metrics"; then
-    break
-  fi
+  grep -q '^surfnet_decoder_surfnet_decode_seconds_count [1-9]' "$metrics" && break
   kill -0 "$pid" 2>/dev/null || break
   sleep 0.1
   curl -fsS "http://$addr/metrics" >"$metrics" || true
 done
-grep -q '^surfnet_slot_wall_seconds_count [1-9]' "$metrics" \
-  || { echo "no slot wall-latency histogram in /metrics"; cat "$metrics"; exit 1; }
-grep -q '^surfnet_decode_wall_seconds_count [1-9]' "$metrics" \
-  || { echo "no decode wall-latency histogram in /metrics"; cat "$metrics"; exit 1; }
-grep -q '^surfnet_budget_overruns_total [1-9]' "$metrics" \
-  || { echo "no budget overruns counted in /metrics"; cat "$metrics"; exit 1; }
+grep -q '^surfnet_decoder_surfnet_decode_seconds_count [1-9]' "$metrics" \
+  || { echo "no decode wall-time histogram in /metrics"; cat "$metrics"; exit 1; }
 
-# /status must be JSON with live cell progress.
+# /status must be JSON with live cell progress, and no SLO budget block.
 status="$workdir/status.json"
 curl -fsS "http://$addr/status" >"$status"
 python3 - "$status" <<'EOF'
@@ -82,11 +69,7 @@ assert st["ready"] is True, st
 assert st["cells_started"] >= 1, st
 assert st["trials_total"] >= 1, st
 assert isinstance(st.get("cells", []), list), st
-b = st.get("budget")
-assert b is not None, st
-assert b["limit_seconds"] > 0, b
-assert b["checked"] >= 1 and b["overruns"] >= 1, b
-assert 0 < b["burn_rate"] <= 1, b
+assert "budget" not in st, st
 EOF
 
 # pprof must be fetchable during the run (if it is still running).
