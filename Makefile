@@ -4,7 +4,7 @@ GO ?= go
 # pipeline.
 BENCHTIME ?= 1s
 
-.PHONY: build test race vet fmt-check check bench-json bench-smoke bench-diff bench-save obs-smoke daemon-smoke chaos-smoke flight-smoke
+.PHONY: build test race vet fmt-check check bench-json bench-smoke bench-diff bench-save obs-smoke daemon-smoke chaos-smoke flight-smoke results-check
 
 build:
 	$(GO) build ./...
@@ -87,3 +87,10 @@ chaos-smoke:
 # /metrics (same script CI runs).
 flight-smoke:
 	./scripts/flight_smoke.sh
+
+# Same outputs: regenerate the four committed result tables (Fig 6/7,
+# resilience, ablations, and the Fig 8 rate tables) into a temporary
+# directory and fail on any difference from the committed files, printing
+# the diff (same script CI runs).
+results-check:
+	./scripts/results_check.sh

@@ -81,13 +81,13 @@ func run() (exit int) {
 			fmt.Println("Decoder family (d=11, p=7%, erasure 15%):")
 			fmt.Print(experiments.FormatDecoderPoints(pts))
 		case "corelayout":
-			byLayout, err := experiments.CoreLayoutStudy(decCfg)
+			layouts, err := experiments.CoreLayoutStudy(decCfg)
 			if err != nil {
 				return err
 			}
 			fmt.Println("Core geometry (d=11, p=7%, erasure 15%):")
-			for layout, pts := range byLayout {
-				fmt.Printf("layout: %s\n%s", layout, experiments.FormatDecoderPoints(pts))
+			for _, l := range layouts {
+				fmt.Printf("layout: %s\n%s", l.Layout, experiments.FormatDecoderPoints(l.Points))
 			}
 		case "erasure":
 			pts, err := experiments.ErasureGrowthStudy(decCfg)

@@ -129,8 +129,12 @@ func run() (exit int) {
 		slog.Error("surfnetd: generating topology", "err", err)
 		return 1
 	}
+	// The engine and the planner record into the daemon's registry, so
+	// /metrics shows the core, decoder and routing layers of every epoch
+	// beside the service's own families.
 	cfg := core.DefaultConfig()
 	cfg.Decoder = decoder.SurfNet{}
+	cfg.Metrics = obs.Registry
 	if *fiberFailProb != 0 {
 		cfg.Faults = &surfnet.FaultProfile{FiberCrashProb: *fiberFailProb, FiberRepairSlots: 5}
 	}
@@ -139,7 +143,9 @@ func run() (exit int) {
 		slog.Error("surfnetd: building engine", "err", err)
 		return 1
 	}
-	pl := routing.NewPlanner(routing.DefaultParams(routing.SurfNet))
+	params := routing.DefaultParams(routing.SurfNet)
+	params.Metrics = obs.Registry
+	pl := routing.NewPlanner(params)
 
 	// Assemble the live fault plane scenario: the resilience unit profile
 	// scaled by -faults, with the -fault-script timetable on top. It is

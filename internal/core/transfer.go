@@ -549,7 +549,7 @@ func (t *transfer) maybeReplan(slot int) {
 // restart models end-to-end retransmission: the source re-encodes the
 // message, so the channel state and failure history reset.
 func (t *transfer) replan(slot int) {
-	surv := t.survivingNetwork()
+	surv, err := t.net.Mask(t.nodeDown, t.fiberDown, nil)
 	p := t.params
 	if t.distance > 0 {
 		// Pin the adaptive distance: the code is already built.
@@ -558,10 +558,7 @@ func (t *transfer) replan(slot int) {
 	req := t.req
 	req.Messages = 1 // re-admit just this communication
 	var sched routing.Schedule
-	var err error
-	if surv == nil {
-		err = fmt.Errorf("core: surviving topology unusable")
-	} else {
+	if err == nil {
 		sched, err = routing.ScheduleLP(surv, []network.Request{req}, p)
 		if err != nil || len(sched.Requests) == 0 || len(sched.Requests[0].Codes) == 0 {
 			sched, err = routing.Greedy(surv, []network.Request{req}, p, nil, nil)
@@ -582,33 +579,6 @@ func (t *transfer) replan(slot int) {
 	t.epochSpan = t.spans.Start("epoch", t.transferSpan, slot)
 	t.trace(slot, "core.replan",
 		"hops", len(t.support.path), "stops", len(t.stopNodes))
-}
-
-// survivingNetwork copies the network with the current outages applied: down
-// fibers keep their endpoints (IDs stay dense, the graph stays connected) but
-// lose all scheduling value, and down nodes lose their storage capacity.
-func (t *transfer) survivingNetwork() *network.Network {
-	nodes := make([]network.Node, t.net.NumNodes())
-	for v := range nodes {
-		nd := t.net.Node(v)
-		if t.nodeDown(v) {
-			nd.Capacity = 0
-		}
-		nodes[v] = nd
-	}
-	fibers := make([]network.Fiber, t.net.NumFibers())
-	for fi := range fibers {
-		f := t.net.Fiber(fi)
-		if t.fiberDown(fi) || t.nodeDown(f.A) || t.nodeDown(f.B) {
-			f.EntPairs, f.EntRate, f.LossProb, f.Fidelity = 0, 0, 1, 0.5
-		}
-		fibers[fi] = f
-	}
-	surv, err := network.New(nodes, fibers)
-	if err != nil {
-		return nil
-	}
-	return surv
 }
 
 // setRoute restarts the transfer from the source on a fresh route: fresh

@@ -7,7 +7,6 @@ import (
 	"surfnet/internal/decoder"
 	"surfnet/internal/obs"
 	"surfnet/internal/routing"
-	"surfnet/internal/sim"
 	"surfnet/internal/surfacecode"
 	"surfnet/internal/telemetry"
 	"surfnet/internal/topology"
@@ -97,15 +96,18 @@ func decoderAblation(cfg DecoderStudyConfig, distance int, pauli, erasure float6
 	if err != nil {
 		return nil, err
 	}
+	rateCfg := Fig8Config{
+		Context:     cfg.Context,
+		Seed:        cfg.Seed,
+		Trials:      cfg.Trials,
+		Workers:     cfg.Workers,
+		ErasureRate: erasure,
+		Metrics:     cfg.Metrics,
+		Progress:    cfg.Progress,
+	}
 	var out []DecoderPoint
 	for _, v := range variants {
-		ctx := ctxOrBackground(cfg.Context)
-		cell := cfg.Progress.StartCell("ablation/decoder/"+v.name, cfg.Trials)
-		if cell != nil {
-			ctx = sim.WithProgress(ctx, cell)
-		}
-		rate, err := logicalRate(ctx, code, v.dec, pauli, erasure, cfg.Trials, cfg.Workers, cfg.Seed, cfg.Metrics)
-		cell.Finish()
+		rate, err := logicalRate(rateCfg, "ablation/decoder/"+v.name, code, v.dec, pauli)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: ablation %s: %w", v.name, err)
 		}
@@ -150,11 +152,17 @@ func DecoderFamilyStudy(cfg DecoderStudyConfig) ([]DecoderPoint, error) {
 		})
 }
 
+// LayoutPoints is one Core layout's decoder points in the layout study.
+type LayoutPoints struct {
+	Layout string
+	Points []DecoderPoint
+}
+
 // CoreLayoutStudy compares the fixed L-shape Core topology against the
 // diagonal alternative ("a more optimized geometry ... presents potential
-// future directions", §VI-C).
-func CoreLayoutStudy(cfg DecoderStudyConfig) (map[string][]DecoderPoint, error) {
-	out := make(map[string][]DecoderPoint, 2)
+// future directions", §VI-C). The layouts come back in that order.
+func CoreLayoutStudy(cfg DecoderStudyConfig) ([]LayoutPoints, error) {
+	var out []LayoutPoints
 	for _, layout := range []surfacecode.CoreLayout{surfacecode.CoreLShape, surfacecode.CoreDiagonal} {
 		pts, err := decoderAblation(cfg, 11, 0.07, 0.15, layout,
 			[]struct {
@@ -167,7 +175,7 @@ func CoreLayoutStudy(cfg DecoderStudyConfig) (map[string][]DecoderPoint, error) 
 		if err != nil {
 			return nil, err
 		}
-		out[layout.String()] = pts
+		out = append(out, LayoutPoints{Layout: layout.String(), Points: pts})
 	}
 	return out, nil
 }

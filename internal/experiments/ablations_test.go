@@ -44,16 +44,18 @@ func TestStepSizeStudySmoke(t *testing.T) {
 }
 
 func TestCoreLayoutStudySmoke(t *testing.T) {
-	byLayout, err := CoreLayoutStudy(DecoderStudyConfig{Seed: 1, Trials: 30})
+	layouts, err := CoreLayoutStudy(DecoderStudyConfig{Seed: 1, Trials: 30})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(byLayout) != 2 {
-		t.Fatalf("layouts = %d", len(byLayout))
+	// The layouts print in this order, so results_ablations.txt must not
+	// depend on map iteration.
+	if len(layouts) != 2 || layouts[0].Layout != "l-shape" || layouts[1].Layout != "diagonal" {
+		t.Fatalf("layouts = %+v, want l-shape then diagonal", layouts)
 	}
-	for layout, pts := range byLayout {
-		if len(pts) != 2 {
-			t.Fatalf("%s: %d points", layout, len(pts))
+	for _, l := range layouts {
+		if len(l.Points) != 2 {
+			t.Fatalf("%s: %d points", l.Layout, len(l.Points))
 		}
 	}
 }

@@ -99,20 +99,7 @@ func Fig8(cfg Fig8Config) ([]Fig8Point, error) {
 				return nil, fmt.Errorf("experiments: building d=%d code: %w", d, err)
 			}
 			for _, p := range cfg.PauliRates {
-				ctx := ctxOrBackground(cfg.Context)
-				cell := cfg.Progress.StartCell(
-					fmt.Sprintf("fig8/%s/d%d/p%.3f", dec.Name(), d, p), cfg.Trials)
-				if cell != nil {
-					ctx = sim.WithProgress(ctx, cell)
-				}
-				var rate float64
-				var err error
-				if cfg.Batch {
-					rate, err = batchLogicalRate(ctx, code, dec, p, cfg.ErasureRate, cfg.Trials, cfg.Workers, cfg.Seed, cfg.Metrics)
-				} else {
-					rate, err = logicalRate(ctx, code, dec, p, cfg.ErasureRate, cfg.Trials, cfg.Workers, cfg.Seed, cfg.Metrics)
-				}
-				cell.Finish()
+				rate, err := logicalRate(cfg, fmt.Sprintf("fig8/%s/d%d/p%.3f", dec.Name(), d, p), code, dec, p)
 				if err != nil {
 					return nil, err
 				}
@@ -129,42 +116,23 @@ func Fig8(cfg Fig8Config) ([]Fig8Point, error) {
 	return points, nil
 }
 
-// fig8Scratch is the per-worker arena of the threshold study's hot loop:
-// reusable sample buffers plus the decoder's own scratch, so steady-state
-// trials allocate nothing.
-type fig8Scratch struct {
-	frame  quantum.Frame
-	erased []bool
-	dec    *decoder.Scratch
-}
-
-// logicalRate Monte-Carlos the logical error rate of one configuration on
-// the sim worker pool. Each trial's error realization derives from the seed
-// and trial index, so the rate is identical for any worker count.
-func logicalRate(ctx context.Context, code *surfacecode.Code, dec decoder.Decoder, pauli, erasure float64, trials, workers int, seed uint64, reg *telemetry.Registry) (float64, error) {
-	nm := surfacecode.UniformNoise(code, pauli, erasure)
-	probs := nm.EdgeErrorProb()
-	// The probs vector is fixed for the whole cell, so one epoch tag lets
-	// the MWPM cache skip the per-decode fidelity-vector hash. sim.Run
-	// builds its workers per call, so an arena lives for this cell only and
-	// takes the tag once, when it is built.
-	epoch := decoder.NewProbsEpoch()
-	root := rng.New(seed).Split(fmt.Sprintf("fig8/%s/%d/%.4f", dec.Name(), code.Distance(), pauli))
-	failed, err := sim.Run(ctx, trials, workers,
-		func(i int, w *sim.Worker) (bool, error) {
-			sc := sim.Scratch(w, "fig8", func() *fig8Scratch {
-				sc := &fig8Scratch{dec: decoder.NewScratch()}
-				sc.dec.SetProbsEpoch(epoch)
-				return sc
-			})
-			sc.frame, sc.erased = nm.SampleInto(root.SplitN("t", i), sc.frame, sc.erased)
-			res, _, err := decoder.DecodeFrameWith(code, dec, sc.frame, sc.erased, probs, reg, sc.dec)
-			if err != nil {
-				return false, fmt.Errorf("experiments: decoding d=%d p=%v trial %d: %w",
-					code.Distance(), pauli, i, err)
-			}
-			return res.Failed(), nil
-		})
+// logicalRate Monte-Carlos the logical error rate of one (decoder,
+// distance, Pauli rate) point on the sim worker pool, scalar or packed
+// (cfg.Batch), under the live /status entry named cellLabel. Each trial's —
+// packed, each batch's — error realization derives from the seed and its
+// index, so the rate is identical for any worker count.
+func logicalRate(cfg Fig8Config, cellLabel string, code *surfacecode.Code, dec decoder.Decoder, pauli float64) (float64, error) {
+	nm := surfacecode.UniformNoise(code, pauli, cfg.ErasureRate)
+	root := rng.New(cfg.Seed).Split(fmt.Sprintf("fig8/%s/%d/%.4f", dec.Name(), code.Distance(), pauli))
+	ctx, done := cellContext(cfg.Context, cfg.Progress, cellLabel, cfg.Trials)
+	defer done()
+	var failed []bool
+	var err error
+	if cfg.Batch {
+		failed, err = sim.RunBatch(ctx, cfg.Trials, batch.Lanes, cfg.Workers, packedTrials(code, nm, dec, pauli, root, cfg.Metrics))
+	} else {
+		failed, err = sim.Run(ctx, cfg.Trials, cfg.Workers, scalarTrial(code, nm, dec, pauli, root, cfg.Metrics))
+	}
 	if err != nil {
 		return 0, err
 	}
@@ -174,7 +142,41 @@ func logicalRate(ctx context.Context, code *surfacecode.Code, dec decoder.Decode
 			fails++
 		}
 	}
-	return float64(fails) / float64(trials), nil
+	return float64(fails) / float64(cfg.Trials), nil
+}
+
+// fig8Scratch is the per-worker arena of the threshold study's hot loop:
+// reusable sample buffers plus the decoder's own scratch, so steady-state
+// trials allocate nothing.
+type fig8Scratch struct {
+	frame  quantum.Frame
+	erased []bool
+	dec    *decoder.Scratch
+}
+
+// scalarTrial returns the trial function of one scalar logical-rate point:
+// trial i samples from root.SplitN("t", i), decodes, and reports failure.
+func scalarTrial(code *surfacecode.Code, nm *surfacecode.NoiseModel, dec decoder.Decoder, pauli float64, root *rng.Source, reg *telemetry.Registry) func(int, *sim.Worker) (bool, error) {
+	probs := nm.EdgeErrorProb()
+	// The probs vector is fixed for the whole cell, so one epoch tag lets
+	// the MWPM cache skip the per-decode fidelity-vector hash. sim.Run
+	// builds its workers per call, so an arena lives for this cell only and
+	// takes the tag once, when it is built.
+	epoch := decoder.NewProbsEpoch()
+	return func(i int, w *sim.Worker) (bool, error) {
+		sc := sim.Scratch(w, "fig8", func() *fig8Scratch {
+			sc := &fig8Scratch{dec: decoder.NewScratch()}
+			sc.dec.SetProbsEpoch(epoch)
+			return sc
+		})
+		sc.frame, sc.erased = nm.SampleInto(root.SplitN("t", i), sc.frame, sc.erased)
+		res, _, err := decoder.DecodeFrameWith(code, dec, sc.frame, sc.erased, probs, reg, sc.dec)
+		if err != nil {
+			return false, fmt.Errorf("experiments: decoding d=%d p=%v trial %d: %w",
+				code.Distance(), pauli, i, err)
+		}
+		return res.Failed(), nil
+	}
 }
 
 // batchScratch is the per-worker arena of the packed threshold study: the
@@ -185,49 +187,36 @@ type batchScratch struct {
 	err error
 }
 
-// batchLogicalRate is logicalRate on the packed 64-lane engine: each
-// sim.RunBatch work unit decodes up to 64 trials in one Engine.Run, with the
-// batch index — never the worker id — seeding the rng stream
-// (root.SplitN("batch", i)), so rates are identical for every worker count.
-func batchLogicalRate(ctx context.Context, code *surfacecode.Code, dec decoder.Decoder, pauli, erasure float64, trials, workers int, seed uint64, reg *telemetry.Registry) (float64, error) {
-	nm := surfacecode.UniformNoise(code, pauli, erasure)
-	root := rng.New(seed).Split(fmt.Sprintf("fig8/%s/%d/%.4f", dec.Name(), code.Distance(), pauli))
-	failed, err := sim.RunBatch(ctx, trials, batch.Lanes, workers,
-		func(b sim.Batch, w *sim.Worker) ([]bool, error) {
-			sc := sim.Scratch(w, "fig8batch", func() *batchScratch {
-				eng, err := batch.NewEngine(code, nm, dec)
-				return &batchScratch{eng: eng, err: err}
-			})
-			if sc.err != nil {
-				return nil, fmt.Errorf("experiments: building packed engine for d=%d p=%v: %w", code.Distance(), pauli, sc.err)
-			}
-			mask, stats, err := sc.eng.Run(root.SplitN("batch", b.Index), b.Len)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: packed decode d=%d p=%v batch %d: %w",
-					code.Distance(), pauli, b.Index, err)
-			}
-			if reg != nil {
-				prefix := "batch." + dec.Name() + "."
-				reg.Counter(prefix + "fast_lanes").Add(int64(stats.FastLanes))
-				reg.Counter(prefix + "fallback_lanes").Add(int64(stats.FallbackLanes))
-				reg.Counter(prefix + "empty_lanes").Add(int64(stats.EmptyLanes))
-			}
-			out := make([]bool, b.Len)
-			for l := range out {
-				out[l] = mask>>uint(l)&1 == 1
-			}
-			return out, nil
+// packedTrials returns the batch function of one packed logical-rate point
+// on the 64-lane engine: each work unit decodes up to 64 trials in one
+// Engine.Run, with the batch index — never the worker id — seeding the rng
+// stream (root.SplitN("batch", b.Index)).
+func packedTrials(code *surfacecode.Code, nm *surfacecode.NoiseModel, dec decoder.Decoder, pauli float64, root *rng.Source, reg *telemetry.Registry) func(sim.Batch, *sim.Worker) ([]bool, error) {
+	return func(b sim.Batch, w *sim.Worker) ([]bool, error) {
+		sc := sim.Scratch(w, "fig8batch", func() *batchScratch {
+			eng, err := batch.NewEngine(code, nm, dec)
+			return &batchScratch{eng: eng, err: err}
 		})
-	if err != nil {
-		return 0, err
-	}
-	fails := 0
-	for _, f := range failed {
-		if f {
-			fails++
+		if sc.err != nil {
+			return nil, fmt.Errorf("experiments: building packed engine for d=%d p=%v: %w", code.Distance(), pauli, sc.err)
 		}
+		mask, stats, err := sc.eng.Run(root.SplitN("batch", b.Index), b.Len)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: packed decode d=%d p=%v batch %d: %w",
+				code.Distance(), pauli, b.Index, err)
+		}
+		if reg != nil {
+			prefix := "batch." + dec.Name() + "."
+			reg.Counter(prefix + "fast_lanes").Add(int64(stats.FastLanes))
+			reg.Counter(prefix + "fallback_lanes").Add(int64(stats.FallbackLanes))
+			reg.Counter(prefix + "empty_lanes").Add(int64(stats.EmptyLanes))
+		}
+		out := make([]bool, b.Len)
+		for l := range out {
+			out[l] = mask>>uint(l)&1 == 1
+		}
+		return out, nil
 	}
-	return float64(fails) / float64(trials), nil
 }
 
 // EstimateThreshold locates the error threshold of a decoder from its Fig. 8

@@ -101,28 +101,63 @@ type trialSpec struct {
 	maxMsgs  int
 }
 
-// trialOutcome is one trial's contribution to a Cell, reduced in trial
-// order after the parallel run.
+// trialOutcome is one network trial's contribution to a cell, reduced in
+// trial order after the parallel run.
 type trialOutcome struct {
 	throughput float64
 	// ran is false for an empty trial: nothing was scheduled, so there is
-	// no execution to measure and fidelity/latency carry no sample.
-	ran      bool
-	fidelity float64
-	latency  float64
+	// no execution to measure and the fields below carry no sample.
+	ran       bool
+	fidelity  float64
+	latency   float64
+	delivered float64
+	// recPer, replanPer and skipPer are the trial's mean counts per
+	// executed code of local recovery reroutes, re-plans, and corrections
+	// skipped at down servers.
+	recPer, replanPer, skipPer float64
 }
 
-// runCell evaluates Trials random networks for one cell on the sim worker
-// pool. Every trial derives its randomness from the cell label and trial
-// index, so the Cell is identical for any Workers value.
+// add folds one trial into the cell and reports whether it executed codes.
+func (c *Cell) add(out trialOutcome) bool {
+	c.Trials++
+	c.Throughput.Add(out.throughput)
+	if !out.ran {
+		c.EmptyTrials++
+		return false
+	}
+	c.Fidelity.Add(out.fidelity)
+	c.Latency.Add(out.latency)
+	return true
+}
+
+// runCell evaluates Trials random networks for one cell.
 func runCell(cfg Config, spec trialSpec, label string) (Cell, error) {
+	outcomes, err := networkTrials(cfg, spec, label)
+	if err != nil {
+		return Cell{}, err
+	}
+	// Ordered reduction: folding in trial order keeps the streaming means
+	// bit-identical to a serial run regardless of worker count.
+	var cell Cell
+	for _, out := range outcomes {
+		cell.add(out)
+	}
+	return cell, nil
+}
+
+// networkTrials is the one network trial loop: it evaluates Trials random
+// networks for one cell on the sim worker pool and returns their outcomes
+// in trial order. Every trial derives its randomness from the cell label and
+// trial index, so the outcomes are identical for any Workers value.
+func networkTrials(cfg Config, spec trialSpec, label string) ([]trialOutcome, error) {
 	// Wire the harness telemetry into the engine and scheduler unless the
 	// caller already instrumented them individually.
-	if cfg.Engine.Metrics == nil {
-		cfg.Engine.Metrics = cfg.Metrics
+	engine := cfg.Engine
+	if engine.Metrics == nil {
+		engine.Metrics = cfg.Metrics
 	}
-	if cfg.Engine.Tracer == nil {
-		cfg.Engine.Tracer = cfg.Tracer
+	if engine.Tracer == nil {
+		engine.Tracer = cfg.Tracer
 	}
 	if spec.routing.Metrics == nil {
 		spec.routing.Metrics = cfg.Metrics
@@ -131,13 +166,9 @@ func runCell(cfg Config, spec trialSpec, label string) (Cell, error) {
 		spec.routing.Tracer = cfg.Tracer
 	}
 	root := rng.New(cfg.Seed).Split(label)
-	ctx := cfg.context()
-	if cfg.Progress != nil {
-		cell := cfg.Progress.StartCell(label, cfg.Trials)
-		defer cell.Finish()
-		ctx = sim.WithProgress(ctx, cell)
-	}
-	outcomes, err := sim.Run(ctx, cfg.Trials, cfg.Workers, func(trial int, _ *sim.Worker) (trialOutcome, error) {
+	ctx, done := cellContext(cfg.Context, cfg.Progress, label, cfg.Trials)
+	defer done()
+	return sim.Run(ctx, cfg.Trials, cfg.Workers, func(trial int, _ *sim.Worker) (trialOutcome, error) {
 		src := root.SplitN("trial", trial)
 		net, err := topology.Generate(spec.params, src.Split("net"))
 		if err != nil {
@@ -155,36 +186,35 @@ func runCell(cfg Config, spec trialSpec, label string) (Cell, error) {
 		if sched.AcceptedCodes() == 0 {
 			return out, nil // no executions to measure
 		}
-		res, err := core.Run(net, sched, cfg.Engine, src.Split("run"))
+		res, err := core.Run(net, sched, engine, src.Split("run"))
 		if err != nil {
 			return trialOutcome{}, fmt.Errorf("experiments: executing %v: %w", spec.design, err)
 		}
 		out.ran = true
 		out.fidelity = res.Fidelity()
 		out.latency = res.MeanLatency()
+		out.delivered = res.DeliveredFraction()
+		n := float64(len(res.Outcomes))
+		for _, o := range res.Outcomes {
+			out.recPer += float64(o.Recoveries) / n
+			out.replanPer += float64(o.Replans) / n
+			out.skipPer += float64(o.SkippedCorrections) / n
+		}
 		return out, nil
 	})
-	if err != nil {
-		return Cell{}, err
-	}
-	// Ordered reduction: folding in trial order keeps the streaming means
-	// bit-identical to a serial run regardless of worker count.
-	var cell Cell
-	for _, out := range outcomes {
-		cell.Trials++
-		cell.Throughput.Add(out.throughput)
-		if !out.ran {
-			cell.EmptyTrials++
-			continue
-		}
-		cell.Fidelity.Add(out.fidelity)
-		cell.Latency.Add(out.latency)
-	}
-	return cell, nil
 }
 
-// context resolves the run context.
-func (c Config) context() context.Context { return ctxOrBackground(c.Context) }
+// cellContext attaches the live /status entry of one sweep cell, named
+// label, to the run context; call done once the cell's trials have run. A
+// nil tracker reports nothing.
+func cellContext(ctx context.Context, p *obs.Tracker, label string, trials int) (_ context.Context, done func()) {
+	ctx = ctxOrBackground(ctx)
+	cell := p.StartCell(label, trials)
+	if cell == nil {
+		return ctx, func() {}
+	}
+	return sim.WithProgress(ctx, cell), cell.Finish
+}
 
 // ctxOrBackground resolves an optional config context.
 func ctxOrBackground(ctx context.Context) context.Context {

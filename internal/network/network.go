@@ -184,6 +184,32 @@ func (n *Network) Other(fi, v int) int {
 	return f.A
 }
 
+// Mask copies the network with outages applied, for planning around them.
+// A down fiber, or one touching a down node, keeps its endpoints, so IDs
+// stay dense and the graph stays connected, but loses all scheduling value:
+// 0 pairs, rate 0, loss 1 and fidelity 0.5. A down node loses its storage
+// capacity. live, when non-nil, may adjust each fiber that stays up. The
+// copy is built by New, and the error is New's.
+func (n *Network) Mask(nodeDown, fiberDown func(int) bool, live func(*Fiber)) (*Network, error) {
+	nodes := make([]Node, len(n.nodes))
+	for v, nd := range n.nodes {
+		if nodeDown(v) {
+			nd.Capacity = 0
+		}
+		nodes[v] = nd
+	}
+	fibers := make([]Fiber, len(n.fibers))
+	for fi, f := range n.fibers {
+		if fiberDown(fi) || nodeDown(f.A) || nodeDown(f.B) {
+			f.EntPairs, f.EntRate, f.LossProb, f.Fidelity = 0, 0, 1, 0.5
+		} else if live != nil {
+			live(&f)
+		}
+		fibers[fi] = f
+	}
+	return New(nodes, fibers)
+}
+
 // NodesByRole returns the IDs of all nodes with the given role, ascending.
 func (n *Network) NodesByRole(r Role) []int {
 	var out []int

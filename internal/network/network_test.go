@@ -123,3 +123,48 @@ func TestRequestValidate(t *testing.T) {
 		}
 	}
 }
+
+// TestMask checks the outage mask on the user-switch-user line: a down fiber
+// keeps its endpoints but offers nothing, a down node loses its capacity and
+// takes its fibers down with it, live adjusts only the fibers that stay up,
+// the base network is left as it was, and New's error comes back.
+func TestMask(t *testing.T) {
+	n := line(t)
+	none := func(int) bool { return false }
+	only := func(id int) func(int) bool { return func(i int) bool { return i == id } }
+	dead := func(f Fiber) bool {
+		return f.EntPairs == 0 && f.EntRate == 0 && f.LossProb == 1 && f.Fidelity == 0.5
+	}
+
+	m, err := n.Mask(none, only(0), func(f *Fiber) { f.Fidelity /= 2 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f := m.Fiber(0); !dead(f) || f.A != 0 || f.B != 1 {
+		t.Errorf("down fiber = %+v, want endpoints 0-1 and no scheduling value", f)
+	}
+	if f := m.Fiber(1); f.Fidelity != 0.4 || f.EntPairs != 5 {
+		t.Errorf("live fiber = %+v, want fidelity 0.4 and its 5 pairs", f)
+	}
+	if m.Node(1).Capacity != 10 {
+		t.Errorf("up node capacity = %d, want 10", m.Node(1).Capacity)
+	}
+
+	m, err = n.Mask(only(1), none, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Node(1).Capacity != 0 || !dead(m.Fiber(0)) || !dead(m.Fiber(1)) {
+		t.Errorf("down switch: node %+v, fibers %+v %+v", m.Node(1), m.Fiber(0), m.Fiber(1))
+	}
+	if m.NumNodes() != 3 || m.NumFibers() != 2 || len(m.Incident(1)) != 2 {
+		t.Errorf("mask changed the graph: %d nodes, %d fibers", m.NumNodes(), m.NumFibers())
+	}
+
+	if n.Node(1).Capacity != 10 || n.Fiber(0).Fidelity != 0.9 || n.Fiber(1).Fidelity != 0.8 {
+		t.Errorf("base network changed: %+v %+v %+v", n.Node(1), n.Fiber(0), n.Fiber(1))
+	}
+	if _, err := n.Mask(none, none, func(f *Fiber) { f.Fidelity = 2 }); err == nil {
+		t.Error("invalid masked fidelity accepted")
+	}
+}

@@ -91,13 +91,8 @@ type Params struct {
 	// ascending list whose (distance-scaled) noise tolerance covers the
 	// route, trading resource consumption against protection. Only
 	// meaningful for the SurfNet and Raw designs. CoreQubits and
-	// SupportQubits then describe the reference distance
-	// ReferenceDistance.
+	// SupportQubits then describe the reference distance 5.
 	AdaptiveDistances []int
-	// ReferenceDistance is the code distance at which CoreThreshold and
-	// TotalThreshold are specified; thresholds scale as (d-1)/(ref-1) for
-	// other distances. Zero selects 5.
-	ReferenceDistance int
 	// Metrics, when non-nil, receives scheduler counters: LP solves,
 	// simplex pivots/iterations, rounding decisions, greedy admissions
 	// and fallbacks. It is instrumentation, not a Table I parameter, and
@@ -169,14 +164,10 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// referenceDistance returns the distance at which the thresholds are
-// specified.
-func (p Params) referenceDistance() int {
-	if p.ReferenceDistance == 0 {
-		return 5
-	}
-	return p.ReferenceDistance
-}
+// referenceDistance is the code distance at which CoreThreshold and
+// TotalThreshold are specified; thresholds scale as (d-1)/(ref-1) for other
+// distances.
+const referenceDistance = 5
 
 // atDistance returns a copy of p specialized to code distance d: Core and
 // Support sizes from the lattice, thresholds scaled by the distance ratio
@@ -187,7 +178,7 @@ func (p Params) atDistance(d int) Params {
 	core, support := CodeDims(d)
 	out.CoreQubits = core
 	out.SupportQubits = support
-	scale := float64(d-1) / float64(p.referenceDistance()-1)
+	scale := float64(d-1) / float64(referenceDistance-1)
 	out.CoreThreshold *= scale
 	out.TotalThreshold *= scale
 	return out

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -195,46 +196,23 @@ func (st FaultState) Outaged() bool {
 	return len(st.DownFibers) > 0 || len(st.DownNodes) > 0 || len(st.GammaScale) > 0
 }
 
-// Mask copies net with the snapshot's outages applied, for planning: down
-// fibers keep their endpoints (IDs stay dense, the graph stays connected) but
-// lose all scheduling value, down nodes lose their storage capacity, and
-// drifting fibers advertise their degraded fidelity. Without outages — or if
-// the masked network is somehow rejected — the base network is returned, so
-// planning always has a topology.
+// Mask copies net with the snapshot's outages applied, for planning: the
+// engine's network.Mask, plus drift, so drifting fibers that stay up
+// advertise their degraded fidelity. Without outages — or if the masked
+// network is somehow rejected — the base network is returned, so planning
+// always has a topology.
 func (st FaultState) Mask(net *network.Network) *network.Network {
 	if !st.Outaged() {
 		return net
 	}
-	nodeDown := make(map[int]bool, len(st.DownNodes))
-	for _, v := range st.DownNodes {
-		nodeDown[v] = true
+	in := func(ids []int) func(int) bool {
+		return func(i int) bool { return slices.Contains(ids, i) }
 	}
-	fiberDown := make(map[int]bool, len(st.DownFibers))
-	for _, fi := range st.DownFibers {
-		fiberDown[fi] = true
-	}
-	nodes := make([]network.Node, net.NumNodes())
-	for v := range nodes {
-		nd := net.Node(v)
-		if nodeDown[v] {
-			nd.Capacity = 0
+	masked, err := net.Mask(in(st.DownNodes), in(st.DownFibers), func(f *network.Fiber) {
+		if g, ok := st.GammaScale[f.ID]; ok {
+			f.Fidelity = max(0.5, f.Fidelity*g)
 		}
-		nodes[v] = nd
-	}
-	fibers := make([]network.Fiber, net.NumFibers())
-	for fi := range fibers {
-		f := net.Fiber(fi)
-		if fiberDown[fi] || nodeDown[f.A] || nodeDown[f.B] {
-			f.EntPairs, f.EntRate, f.LossProb, f.Fidelity = 0, 0, 1, 0.5
-		} else if g, ok := st.GammaScale[fi]; ok {
-			f.Fidelity *= g
-			if f.Fidelity < 0.5 {
-				f.Fidelity = 0.5
-			}
-		}
-		fibers[fi] = f
-	}
-	masked, err := network.New(nodes, fibers)
+	})
 	if err != nil {
 		return net
 	}

@@ -1,6 +1,13 @@
 // Package sim is the deterministic parallel trial engine behind every Monte
 // Carlo loop in the repository: the Fig. 6/7 network cells, the Fig. 8
-// decoder threshold study, the ablation sweeps, and the benchmarks.
+// decoder threshold study, the ablation and resilience sweeps, the
+// engine's per-code fan-out, and the benchmarks.
+//
+// It has one worker pool. Run hands it one trial per work item; RunBatch
+// hands it one slab of trials per item, for the packed 64-lane engine. The
+// pool alone runs the items, inline at one worker or on goroutines above
+// it, keeps the lowest-index first error, honors cancellation, and reports
+// progress.
 //
 // The determinism contract is the whole point of the package: a trial's
 // randomness must derive from the root seed and the trial index — never from
@@ -106,21 +113,51 @@ func progressFrom(ctx context.Context) Progress {
 // On failure Run cancels the pool's context, waits for in-flight trials to
 // drain, and returns the error of the lowest-indexed failed trial it
 // observed (with one worker this is exactly the serial first error). The
-// caller's ctx cancels the run the same way.
+// caller's ctx cancels the run the same way, and Run returns its error at
+// every worker count, even when the cancellation lands during the last
+// trial.
 func Run[T any](ctx context.Context, n, workers int, trial func(i int, w *Worker) (T, error)) ([]T, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("sim: negative trial count %d", n)
 	}
+	results := make([]T, n)
+	if err := pool(ctx, n, workers, trials[T]{results, trial}); err != nil {
+		return nil, err
+	}
+	return results, nil
+}
+
+// trials is Run's work unit: item i is trial i, stored at results[i].
+type trials[T any] struct {
+	results []T
+	trial   func(i int, w *Worker) (T, error)
+}
+
+func (u trials[T]) run(i int, w *Worker) (int, error) {
+	v, err := u.trial(i, w)
+	if err != nil {
+		return 0, err
+	}
+	u.results[i] = v
+	return 1, nil
+}
+
+// pool executes items 0..n-1 of u on up to workers goroutines (one worker
+// runs them inline, in order). Each item stores its own results; run
+// reports how many trials the item completed, which goes to the context's
+// progress reporter. The first error by item index wins, and it or the
+// caller's cancellation stops the dispatch of further items. u is a type
+// parameter, not a closure or an interface value, so handing it to the
+// pool allocates nothing.
+func pool[U interface {
+	run(i int, w *Worker) (int, error)
+}](ctx context.Context, n, workers int, u U) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	workers = Normalize(workers)
-	if workers > n {
-		workers = n
-	}
-	results := make([]T, n)
+	workers = min(Normalize(workers), n)
 	if n == 0 {
-		return results, ctx.Err()
+		return ctx.Err()
 	}
 	progress := progressFrom(ctx)
 
@@ -128,22 +165,23 @@ func Run[T any](ctx context.Context, n, workers int, trial func(i int, w *Worker
 		w := &Worker{id: 0}
 		for i := 0; i < n; i++ {
 			if err := ctx.Err(); err != nil {
-				return nil, err
+				return err
 			}
-			v, err := trial(i, w)
+			done, err := u.run(i, w)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			results[i] = v
-			// Report only while the run is still live: a trial that
+			// Report only while the run is still live: an item that
 			// completes after the caller's ctx was cancelled has its
-			// result discarded on return, so counting it would let
+			// results discarded on return, so counting it would let
 			// progress exceed the kept-trial count.
 			if progress != nil && ctx.Err() == nil {
-				progress.TrialDone(1)
+				progress.TrialDone(done)
 			}
 		}
-		return results, nil
+		// A cancellation during the last item drops the run, as the
+		// goroutine loop below does.
+		return ctx.Err()
 	}
 
 	ctx, cancel := context.WithCancel(ctx)
@@ -173,29 +211,25 @@ func Run[T any](ctx context.Context, n, workers int, trial func(i int, w *Worker
 				if i >= n || ctx.Err() != nil {
 					return
 				}
-				v, err := trial(i, w)
+				done, err := u.run(i, w)
 				if err != nil {
 					fail(i, err)
 					return
 				}
-				results[i] = v
 				// A worker that passed the ctx check above can finish its
-				// trial after a sibling failed and cancelled the pool; its
-				// result is discarded on the error return, so suppress the
-				// progress report too — otherwise /status trial counts
+				// item after a sibling failed and cancelled the pool; its
+				// results are discarded on the error return, so suppress
+				// the progress report too — otherwise /status trial counts
 				// exceed the number of trials whose results are kept.
 				if progress != nil && ctx.Err() == nil {
-					progress.TrialDone(1)
+					progress.TrialDone(done)
 				}
 			}
 		}(id)
 	}
 	wg.Wait()
 	if firstErr != nil {
-		return nil, firstErr
+		return firstErr
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return results, nil
+	return ctx.Err()
 }

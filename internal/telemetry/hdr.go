@@ -147,9 +147,6 @@ func (h *HDR) Observe(v float64) {
 	casFloat(&h.maxBits, v, func(cur float64) bool { return v > cur })
 }
 
-// ObserveDuration records a duration given in seconds.
-func (h *HDR) ObserveDuration(seconds float64) { h.Observe(seconds) }
-
 // Count reports the number of observations.
 func (h *HDR) Count() int64 {
 	if h == nil {

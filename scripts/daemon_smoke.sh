@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Smoke-test the resident control-plane daemon end to end: launch surfnetd on
 # an ephemeral port, drive it with a 1000-request open-loop surfload run, and
-# assert the service surface (admission, shed counters on /metrics, per-tenant
-# /status accounting, latency percentiles in surfload's report). Then start a
+# assert the service surface (admission, shed counters on /metrics, the
+# routing, core and decoder families beside them, per-tenant /status
+# accounting, latency percentiles in surfload's report). Then start a
 # second load and SIGTERM the daemon mid-run: /readyz must leave ready, the
 # drain must complete every admitted transfer (admitted == completed + failed,
 # the zero-drop contract), and the process must exit 0.
@@ -78,6 +79,15 @@ grep -q '^surfnet_service_shed_total [1-9]' "$metrics" \
   || { echo "overload did not shed (or shed not counted) in /metrics"; cat "$metrics"; exit 1; }
 grep -q '^surfnet_service_epochs_total [1-9]' "$metrics" \
   || { echo "no epochs counted in /metrics"; cat "$metrics"; exit 1; }
+
+# The engine and the planner record into the same registry, so every layer
+# an epoch passes through has a live family: LP solves, engine decodes, and
+# the SurfNet decoder's wall-time histogram.
+for family in surfnet_routing_lp_solves_total surfnet_core_decodes_total \
+  surfnet_decoder_surfnet_decode_seconds_count; do
+  grep -q "^$family [1-9]" "$metrics" \
+    || { echo "no $family in /metrics"; cat "$metrics"; exit 1; }
+done
 
 # /status must embed the service snapshot with per-tenant accounting.
 curl -fsS "http://$addr/status" | python3 -c '
