@@ -43,9 +43,9 @@ func (dense) pivot(s *simplex, row, col int) {
 }
 
 func (dense) refresh(s *simplex, obj []float64) {
-	for j := 0; j <= s.total; j++ {
+	for j := 0; j <= s.artStart; j++ {
 		var v float64
-		if j < s.total {
+		if j < s.artStart {
 			v = -objAt(obj, j)
 		}
 		for i, ri := range s.t {
