@@ -24,11 +24,23 @@ type Weighted struct {
 }
 
 // NewWeighted returns an empty graph over n vertices.
-func NewWeighted(n int) *Weighted {
-	return &Weighted{
-		n:   n,
-		adj: make([][]int32, n),
+func NewWeighted(n int) *Weighted { return NewWeightedCap(n, 0, 0) }
+
+// NewWeightedCap is NewWeighted with room for edges edges and, per vertex,
+// degree incident edges, so a graph whose size is known up front is built
+// without regrowing its slices. A vertex that takes more than degree edges
+// regrows its own list and never writes into a neighbour's room.
+func NewWeightedCap(n, edges, degree int) *Weighted {
+	g := &Weighted{
+		n:     n,
+		edges: make([]Edge, 0, edges),
+		adj:   make([][]int32, n),
 	}
+	room := make([]int32, n*degree)
+	for v := range g.adj {
+		g.adj[v] = room[v*degree : v*degree : (v+1)*degree]
+	}
+	return g
 }
 
 // NumVertices reports the vertex count.

@@ -143,10 +143,12 @@ func New(d int, layout CoreLayout) (*Code, error) {
 	default:
 		return nil, fmt.Errorf("surfacecode: unknown core layout %v", layout)
 	}
+	nData := d*d + (d-1)*(d-1)
 	c := &Code{
 		d:         d,
 		layout:    layout,
-		dataIndex: make(map[Coord]int),
+		data:      make([]Coord, 0, nData),
+		dataIndex: make(map[Coord]int, nData),
 	}
 	n := 2*d - 1
 	for i := 0; i < n; i++ {
@@ -221,6 +223,10 @@ func (c *Code) CoreSize() int { return c.coreSize }
 // SupportSize reports the number of Support data qubits.
 func (c *Code) SupportSize() int { return c.NumData() - c.coreSize }
 
+// maxRealDegree is the most data qubits a measurement qubit touches; only
+// the two virtual boundary vertices, with d each, have more.
+const maxRealDegree = 4
+
 // zAncilla maps a measure-Z site (even row, odd col) to its vertex index.
 func (c *Code) zAncilla(i, j int) int { return (i/2)*(c.d-1) + (j-1)/2 }
 
@@ -234,7 +240,7 @@ func (c *Code) xAncilla(i, j int) int { return ((i-1)/2)*c.d + j/2 }
 // internal.
 func (c *Code) buildZGraph() {
 	numReal := c.d * (c.d - 1)
-	g := graph.NewWeighted(numReal + 2)
+	g := graph.NewWeightedCap(numReal+2, len(c.data), maxRealDegree)
 	left, right := numReal, numReal+1
 	maxC := 2*c.d - 2
 	var cut []int
@@ -268,7 +274,7 @@ func (c *Code) buildZGraph() {
 // X-ancillas left and right and are always internal.
 func (c *Code) buildXGraph() {
 	numReal := (c.d - 1) * c.d
-	g := graph.NewWeighted(numReal + 2)
+	g := graph.NewWeightedCap(numReal+2, len(c.data), maxRealDegree)
 	top, bottom := numReal, numReal+1
 	maxR := 2*c.d - 2
 	var cut []int

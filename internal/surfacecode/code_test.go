@@ -1,6 +1,7 @@
 package surfacecode
 
 import (
+	"slices"
 	"testing"
 
 	"surfnet/internal/quantum"
@@ -302,6 +303,33 @@ func TestEdgeIndexIsDataQubit(t *testing.T) {
 				if e.ID != q || int(ends[0]) != e.U || int(ends[1]) != e.V {
 					t.Fatalf("d=%d %v: edge %d is %+v, endpoints %v", d, kind, q, e, ends)
 				}
+			}
+		}
+	}
+}
+
+// TestIncidentListsMatchEdges pins the preallocated adjacency: each
+// vertex's incident list is exactly its edges in insertion order. The
+// boundary vertices, with d > 4 edges, outgrow the room reserved for a
+// measurement qubit; a list that grew into its neighbour's room would lose
+// or gain entries here.
+func TestIncidentListsMatchEdges(t *testing.T) {
+	for _, d := range []int{2, 5, 9} {
+		c := MustNew(d, CoreDiagonal)
+		for _, kind := range []GraphKind{ZGraph, XGraph} {
+			dg := c.Graph(kind)
+			want := make([][]int32, dg.G.NumVertices())
+			for q, ends := range dg.Endpoints {
+				want[ends[0]] = append(want[ends[0]], int32(q))
+				want[ends[1]] = append(want[ends[1]], int32(q))
+			}
+			for v, edges := range want {
+				if got := dg.G.Incident(v); !slices.Equal(got, edges) {
+					t.Fatalf("d=%d %v: vertex %d has incident edges %v, want %v", d, kind, v, got, edges)
+				}
+			}
+			if deg := dg.G.Degree(dg.BoundaryA()); deg != d {
+				t.Fatalf("d=%d %v: boundary A has degree %d, want %d", d, kind, deg, d)
 			}
 		}
 	}
