@@ -14,8 +14,8 @@ import (
 // empty-syndrome fast paths: on a syndrome-free frame that still contains
 // erasures, both cluster-growth decoders must return an empty correction
 // WITHOUT invoking growClusters (or peeling). The scratch arena proves the
-// negative: growClusters seeds s.uf and peel sizes its vertex table s.peel.v
-// on first use, so both must stay nil after the decode.
+// negative: growClusters sizes its vertex table s.grow.v and peel its vertex
+// table s.peel.v on first use, so both must stay nil after the decode.
 func TestEmptySyndromeShortCircuit(t *testing.T) {
 	c := surfacecode.MustNew(5, surfacecode.CoreLShape)
 	dg := c.Graph(surfacecode.ZGraph)
@@ -44,7 +44,7 @@ func TestEmptySyndromeShortCircuit(t *testing.T) {
 		if len(corr) != 0 {
 			t.Errorf("%s returned a %d-qubit correction on a syndrome-free frame", dec.Name(), len(corr))
 		}
-		if s.uf != nil {
+		if s.grow.v != nil {
 			t.Errorf("%s invoked cluster growth on a syndrome-free frame", dec.Name())
 		}
 		if s.peel.v != nil {

@@ -1,7 +1,6 @@
 package decoder
 
 import (
-	"surfnet/internal/graph"
 	"surfnet/internal/quantum"
 	"surfnet/internal/surfacecode"
 )
@@ -16,14 +15,9 @@ import (
 // Result.Residual) alias the arena and are valid only until the next call
 // that receives the same Scratch.
 type Scratch struct {
-	// Cluster growth (growth.go).
-	uf        *graph.UnionFind
-	odd       []bool
-	boundary  []bool
-	growth    []float64
-	grown     []bool
-	support   []int
-	completed []int
+	// Cluster growth (growth.go): version-stamped like the peeler, so a
+	// call initialises only the vertices and edges it touches.
+	grow grower
 
 	// Peeling (peeling.go): version-stamped, so a call costs
 	// O(|support| + |syndromes|) rather than O(graph).
@@ -114,15 +108,6 @@ func growInt32(buf []int32, n int, fill int32) []int32 {
 		buf[i] = fill
 	}
 	return buf
-}
-
-// ufFor returns uf reset to n elements, allocating it on first use.
-func ufFor(uf *graph.UnionFind, n int) *graph.UnionFind {
-	if uf == nil {
-		return graph.NewUnionFind(n)
-	}
-	uf.Reset(n)
-	return uf
 }
 
 // syndrome computes the flipped-parity real vertices of the kind graph for

@@ -23,7 +23,7 @@ func (UnionFind) Name() string { return "union-find" }
 func (d UnionFind) Decode(in Input) ([]int, error) { return d.DecodeWith(in, nil) }
 
 // DecodeWith implements ScratchDecoder.
-func (UnionFind) DecodeWith(in Input, s *Scratch) ([]int, error) {
+func (d UnionFind) DecodeWith(in Input, s *Scratch) ([]int, error) {
 	if err := in.validate(); err != nil {
 		return nil, err
 	}
@@ -37,14 +37,20 @@ func (UnionFind) DecodeWith(in Input, s *Scratch) ([]int, error) {
 	if s == nil {
 		s = NewScratch()
 	}
-	support, err := growClusters(in, growthConfig{
-		speed:           func(Input, int) float64 { return 0.5 },
-		preGrowErasures: true,
-	}, s)
+	support, err := growClusters(in, d.growth(), s)
 	if err != nil {
 		return nil, err
 	}
 	return peel(in, support, s)
+}
+
+// growth returns the baseline's growth rule: every qubit grows at half an
+// edge per round, and erasures are pre-grown.
+func (UnionFind) growth() growthConfig {
+	return growthConfig{
+		speed:           func(Input, int) float64 { return 0.5 },
+		preGrowErasures: true,
+	}
 }
 
 // SurfNet is the SurfNet Decoder of Algorithm 2: cluster growth at
@@ -90,21 +96,27 @@ func (d SurfNet) DecodeWith(in Input, s *Scratch) ([]int, error) {
 	if len(in.Syndromes) == 0 {
 		return nil, nil
 	}
-	r := d.StepSize
-	if r == 0 {
-		r = DefaultStepSize
-	}
 	if s == nil {
 		s = NewScratch()
 	}
-	support, err := growClusters(in, growthConfig{
-		speed: func(in Input, q int) float64 {
-			return quantum.GrowthSpeed(1-qubitErrProb(in, q), r)
-		},
-		preGrowErasures: !d.FiniteErasureGrowth,
-	}, s)
+	support, err := growClusters(in, d.growth(), s)
 	if err != nil {
 		return nil, err
 	}
 	return peel(in, support, s)
+}
+
+// growth returns Algorithm 2's growth rule: qubit q grows at -r/ln(1-rho_q)
+// edges per round.
+func (d SurfNet) growth() growthConfig {
+	r := d.StepSize
+	if r == 0 {
+		r = DefaultStepSize
+	}
+	return growthConfig{
+		speed: func(in Input, q int) float64 {
+			return quantum.GrowthSpeed(1-qubitErrProb(in, q), r)
+		},
+		preGrowErasures: !d.FiniteErasureGrowth,
+	}
 }

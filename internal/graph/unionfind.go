@@ -4,8 +4,7 @@
 package graph
 
 // UnionFind is a disjoint-set forest with union by rank and path compression.
-// Find and Union run in amortized O(alpha(n)) time, which is what gives the
-// Union-Find and SurfNet decoders their near-linear complexity (Theorem 2).
+// Find and Union run in amortized O(alpha(n)) time.
 type UnionFind struct {
 	parent []int32
 	rank   []int8
