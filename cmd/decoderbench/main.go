@@ -13,8 +13,8 @@
 // -workers sizes the deterministic trial pool (default GOMAXPROCS); results
 // are identical for every value. -batch switches to the bit-packed 64-lane
 // engine (internal/batch): ≥5× per-trial throughput in erasure-dominated
-// regimes (≈1.3× at the paper's mixed operating point, where most lanes fall
-// back to the scalar decoder), rates statistically equivalent to (but not
+// regimes (≈1.4–1.8× at the paper's mixed operating point, where most lanes
+// fall back to the scalar decoder), rates statistically equivalent to (but not
 // bitwise reproducing) the scalar sweep, UnionFind and default SurfNet
 // decoders only.
 package main
