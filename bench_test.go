@@ -159,7 +159,7 @@ func decodeOnce(b *testing.B, code *surfacecode.Code, dec decoder.Decoder, src *
 	nm *surfacecode.NoiseModel, probs []float64) {
 	b.Helper()
 	frame, erased := nm.Sample(src)
-	if _, err := decoder.DecodeFrame(code, dec, frame, erased, probs); err != nil {
+	if _, _, err := decoder.DecodeFrame(code, dec, frame, erased, probs, nil, nil); err != nil {
 		b.Fatal(err)
 	}
 }

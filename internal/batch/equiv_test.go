@@ -58,7 +58,7 @@ func TestLaneVsScalarEquivalence(t *testing.T) {
 					}
 					for l := 0; l < lanes; l++ {
 						frame, erased = eng.Planes().Unpack(l, frame, erased)
-						res, err := decoder.DecodeFrame(code, dec, frame, erased, probs)
+						res, _, err := decoder.DecodeFrame(code, dec, frame, erased, probs, nil, nil)
 						if err != nil {
 							t.Fatalf("d=%d %s batch %d lane %d: scalar oracle: %v", d, dec.Name(), bi, l, err)
 						}

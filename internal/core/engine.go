@@ -119,7 +119,7 @@ type Config struct {
 	// Metrics, when non-nil, receives engine counters and histograms
 	// (photon losses, teleports, decodes, crashes, recoveries, delivery
 	// latency) plus the per-decoder instrumentation of
-	// decoder.DecodeFrameMetered. Nil — the default — disables metrics;
+	// decoder.DecodeFrame. Nil — the default — disables metrics;
 	// instrumented sites then cost one nil check each.
 	Metrics *telemetry.Registry
 	// Tracer, when non-nil, receives slot-level events tagged with the
@@ -429,10 +429,13 @@ func (e *Engine) executeParallel(ctx context.Context, sched routing.Schedule, sr
 	if len(jobs) == 0 {
 		return res, nil
 	}
-	outcomes, err := sim.Run(ctx, len(jobs), workers, func(i int, _ *sim.Worker) (Outcome, error) {
+	// Each worker decodes on one arena for the whole call; it is dropped
+	// with the pool, so nothing outlives the execution.
+	outcomes, err := sim.Run(ctx, len(jobs), workers, func(i int, w *sim.Worker) (Outcome, error) {
 		j := jobs[i]
 		stream := src.SplitN(fmt.Sprintf("req%d", j.ri), j.ci)
-		o, err := runOne(e.net, sched, cfg, j.code, j.req, j.cr, stream, j.ri, j.ci)
+		dec := sim.Scratch(w, "decode", decoder.NewScratch)
+		o, err := runOne(e.net, sched, cfg, j.code, j.req, j.cr, stream, j.ri, j.ci, dec)
 		if err != nil {
 			return Outcome{}, fmt.Errorf("request %d code %d: %w", j.ri, j.ci, err)
 		}
@@ -461,13 +464,11 @@ func Run(net *network.Network, sched routing.Schedule, cfg Config, src *rng.Sour
 }
 
 // runOne dispatches on the schedule's design. ri and ci tag telemetry with
-// the communication's identity.
-func runOne(net *network.Network, sched routing.Schedule, cfg Config, code *surfacecode.Code, req network.Request, cr routing.CodeRoute, src *rng.Source, ri, ci int) (Outcome, error) {
+// the communication's identity; SurfNet and Raw codes decode on dec.
+func runOne(net *network.Network, sched routing.Schedule, cfg Config, code *surfacecode.Code, req network.Request, cr routing.CodeRoute, src *rng.Source, ri, ci int, dec *decoder.Scratch) (Outcome, error) {
 	switch sched.Design {
 	case routing.SurfNet, routing.Raw:
-		t := newTransfer(net, sched, cfg, code, req, cr, src)
-		t.reqIdx, t.codeIdx = ri, ci
-		return t.run()
+		return newTransfer(net, sched, cfg, code, req, cr, src, ri, ci, dec).run()
 	default:
 		return runPurification(net, sched, cfg, req, cr, src, ri, ci)
 	}
@@ -486,14 +487,7 @@ func runOne(net *network.Network, sched routing.Schedule, cfg Config, code *surf
 // accumulated while waiting.
 func runPurification(net *network.Network, sched routing.Schedule, cfg Config, req network.Request, cr routing.CodeRoute, src *rng.Source, ri, ci int) (Outcome, error) {
 	ins := newInstruments(cfg.Metrics)
-	trace := func(slot int, typ string, kv ...any) {
-		if cfg.Tracer == nil {
-			return
-		}
-		ev := telemetry.Ev(typ, kv...)
-		ev.Slot, ev.Req, ev.Code = slot, ri, ci
-		cfg.Tracer.Emit(ev)
-	}
+	st := slotTracer{tracer: cfg.Tracer, reqIdx: ri, codeIdx: ci}
 	// The baseline has no epochs or decodes, but its transfer still gets a
 	// root span so every design's latency is decomposable from one trace.
 	spans := telemetry.NewSpanSet(cfg.Tracer, ri, ci)
@@ -529,7 +523,7 @@ func runPurification(net *network.Network, sched routing.Schedule, cfg Config, r
 	for ; slot < cfg.MaxSlots && !ready; slot++ {
 		if inj != nil {
 			inj.Step(faults.Scope{Slot: slot, Src: src, Fibers: pathFibers},
-				faultEmitter(ins, cfg.Tracer, ri, ci))
+				faultEmitter(ins, st))
 		}
 		ready = true
 		for i, fi := range path {
@@ -556,7 +550,7 @@ func runPurification(net *network.Network, sched routing.Schedule, cfg Config, r
 	}
 	if !ready {
 		ins.timeouts.Inc()
-		trace(cfg.MaxSlots, "core.timeout", "design", sched.Design.String())
+		st.trace(cfg.MaxSlots, "core.timeout", "design", sched.Design.String())
 		spans.End(transferSpan, cfg.MaxSlots, "delivered", false, "success", false)
 		return out, nil // timed out waiting for the chain
 	}
@@ -587,7 +581,7 @@ func runPurification(net *network.Network, sched routing.Schedule, cfg Config, r
 	out.Success = src.Bool(chain)
 	ins.delivered.Inc()
 	ins.latency.Observe(float64(out.Latency))
-	trace(slot, "core.deliver", "design", sched.Design.String(),
+	st.trace(slot, "core.deliver", "design", sched.Design.String(),
 		"latency", out.Latency, "success", out.Success)
 	spans.End(transferSpan, slot, "delivered", true, "success", out.Success)
 	return out, nil

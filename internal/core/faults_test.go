@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"surfnet/internal/decoder"
 	"surfnet/internal/faults"
 	"surfnet/internal/network"
 	"surfnet/internal/rng"
@@ -212,7 +213,7 @@ func TestRecoverySpliceConsistency(t *testing.T) {
 	}
 	req := sched.Requests[0].Request
 	cr := sched.Requests[0].Codes[0]
-	tr := newTransfer(net, sched, cfg, cfg.Code, req, cr, rng.New(5))
+	tr := newTransfer(net, sched, cfg, cfg.Code, req, cr, rng.New(5), 0, 0, decoder.NewScratch())
 	tr.stepFaults(0)
 	if !tr.fiberDown(1) {
 		t.Fatal("scripted fault did not take fiber 1 down")
@@ -226,7 +227,7 @@ func TestRecoverySpliceConsistency(t *testing.T) {
 		if len(part.nodes) != len(part.path)+1 {
 			t.Fatalf("nodes/path length mismatch: %d vs %d", len(part.nodes), len(part.path))
 		}
-		want := nodeSeq(net, part.nodes[0], part.path)
+		want := net.PathNodes(part.nodes[0], part.path)
 		if !reflect.DeepEqual(part.nodes, want) {
 			t.Fatalf("node sequence %v inconsistent with path expansion %v", part.nodes, want)
 		}

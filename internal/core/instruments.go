@@ -62,39 +62,49 @@ func newInstruments(reg *telemetry.Registry) instruments {
 	}
 }
 
-// faultEmitter translates injector events into the engine's per-fault-class
-// counters and slot-level traces, tagged with the communication's identity.
-func faultEmitter(ins instruments, tracer telemetry.Tracer, ri, ci int) func(faults.Event) {
-	trace := func(slot int, typ string, kv ...any) {
-		if tracer == nil {
-			return
-		}
-		ev := telemetry.Ev(typ, kv...)
-		ev.Slot, ev.Req, ev.Code = slot, ri, ci
-		tracer.Emit(ev)
+// slotTracer emits slot-scoped trace events tagged with one communication's
+// identity. A nil tracer keeps the untraced path to a single branch.
+type slotTracer struct {
+	tracer  telemetry.Tracer
+	reqIdx  int // request index
+	codeIdx int // code index within the request
+}
+
+// trace emits one event of type typ at the given slot.
+func (st slotTracer) trace(slot int, typ string, kv ...any) {
+	if st.tracer == nil {
+		return
 	}
+	ev := telemetry.Ev(typ, kv...)
+	ev.Slot, ev.Req, ev.Code = slot, st.reqIdx, st.codeIdx
+	st.tracer.Emit(ev)
+}
+
+// faultEmitter translates injector events into the engine's per-fault-class
+// counters and slot-level traces.
+func faultEmitter(ins instruments, st slotTracer) func(faults.Event) {
 	return func(ev faults.Event) {
 		switch ev.Kind {
 		case faults.FiberCrash:
 			ins.fiberCrashes.Inc()
-			trace(ev.Slot, "core.fiber_crash", "fiber", ev.ID, "until", ev.Until)
+			st.trace(ev.Slot, "core.fiber_crash", "fiber", ev.ID, "until", ev.Until)
 		case faults.FiberRepair:
-			trace(ev.Slot, "core.fiber_repair", "fiber", ev.ID)
+			st.trace(ev.Slot, "core.fiber_repair", "fiber", ev.ID)
 		case faults.NodeCrash:
 			ins.nodeCrashes.Inc()
-			trace(ev.Slot, "core.node_crash", "node", ev.ID, "until", ev.Until)
+			st.trace(ev.Slot, "core.node_crash", "node", ev.ID, "until", ev.Until)
 		case faults.NodeRepair:
-			trace(ev.Slot, "core.node_repair", "node", ev.ID)
+			st.trace(ev.Slot, "core.node_repair", "node", ev.ID)
 		case faults.RegionCrash:
 			ins.regionCrashes.Inc()
-			trace(ev.Slot, "core.region_crash", "node", ev.ID, "until", ev.Until)
+			st.trace(ev.Slot, "core.region_crash", "node", ev.ID, "until", ev.Until)
 		case faults.RegionRepair:
-			trace(ev.Slot, "core.region_repair", "node", ev.ID)
+			st.trace(ev.Slot, "core.region_repair", "node", ev.ID)
 		case faults.DriftStart:
 			ins.driftEpisodes.Inc()
-			trace(ev.Slot, "core.drift_start", "fiber", ev.ID, "until", ev.Until)
+			st.trace(ev.Slot, "core.drift_start", "fiber", ev.ID, "until", ev.Until)
 		case faults.DriftEnd:
-			trace(ev.Slot, "core.drift_end", "fiber", ev.ID)
+			st.trace(ev.Slot, "core.drift_end", "fiber", ev.ID)
 		}
 	}
 }

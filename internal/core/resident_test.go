@@ -15,7 +15,9 @@ import (
 
 // executeSerial is the reference the execution paths are checked against: a
 // plain loop over the schedule's codes in (request, code) order, each on its
-// own src.SplitN(req, code) stream, with no worker pool in between.
+// own src.SplitN(req, code) stream and a fresh decode arena, with no worker
+// pool in between. The engine's workers reuse one arena across codes, so
+// matching this reference shows that a reused arena leaks nothing.
 func executeSerial(t *testing.T, e *Engine, sched routing.Schedule, src *rng.Source) RunResult {
 	t.Helper()
 	if err := e.cfg.validateSchedule(sched); err != nil {
@@ -29,7 +31,7 @@ func executeSerial(t *testing.T, e *Engine, sched routing.Schedule, src *rng.Sou
 				t.Fatal(err)
 			}
 			stream := src.SplitN(fmt.Sprintf("req%d", ri), ci)
-			o, err := runOne(e.net, sched, e.cfg, code, rs.Request, cr, stream, ri, ci)
+			o, err := runOne(e.net, sched, e.cfg, code, rs.Request, cr, stream, ri, ci, decoder.NewScratch())
 			if err != nil {
 				t.Fatalf("request %d code %d: %v", ri, ci, err)
 			}
@@ -42,11 +44,20 @@ func executeSerial(t *testing.T, e *Engine, sched routing.Schedule, src *rng.Sou
 
 // residentFixture builds a generated topology with an LP schedule and a
 // fault-injecting config — enough moving parts (recoveries, re-plans,
-// retransmissions) to make engine-path divergence visible.
-func residentFixture(t *testing.T) (*Engine, routing.Schedule) {
+// retransmissions) to make engine-path divergence visible. The adaptive
+// fixture runs on insufficient facilities and poor fibers with adaptive code
+// sizes, where the schedule mixes distances 3, 5 and 7, so one worker's
+// decode arena serves codes of three sizes in one execution.
+func residentFixture(t *testing.T, adaptive bool) (*Engine, routing.Schedule) {
 	t.Helper()
 	src := rng.New(8181)
-	net, err := topology.Generate(topology.DefaultParams(topology.Abundant, topology.GoodConnection), src)
+	topo := topology.DefaultParams(topology.Abundant, topology.GoodConnection)
+	p := routing.DefaultParams(routing.SurfNet)
+	if adaptive {
+		topo = topology.DefaultParams(topology.Insufficient, topology.PoorConnection)
+		p.AdaptiveDistances = []int{3, 5, 7}
+	}
+	net, err := topology.Generate(topo, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,9 +65,20 @@ func residentFixture(t *testing.T) (*Engine, routing.Schedule) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched, err := routing.ScheduleLP(net, reqs, routing.DefaultParams(routing.SurfNet))
+	sched, err := routing.ScheduleLP(net, reqs, p)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if adaptive {
+		sizes := map[int]bool{}
+		for _, rs := range sched.Requests {
+			for _, cr := range rs.Codes {
+				sizes[cr.Distance] = true
+			}
+		}
+		if len(sizes) != len(p.AdaptiveDistances) {
+			t.Fatalf("adaptive schedule uses distances %v, want all of %v", sizes, p.AdaptiveDistances)
+		}
 	}
 	cfg := DefaultConfig()
 	cfg.Decoder = decoder.SurfNet{}
@@ -83,19 +105,21 @@ func TestNewEngineValidation(t *testing.T) {
 // TestEngineExecuteMatchesRun pins the one-shot Run wrapper to the serial
 // reference: field-for-field identical outcomes.
 func TestEngineExecuteMatchesRun(t *testing.T) {
-	eng, sched := residentFixture(t)
-	want := executeSerial(t, eng, sched, rng.New(99))
-	got, err := Run(eng.Network(), sched, eng.Config(), rng.New(99))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Design != want.Design || len(got.Outcomes) != len(want.Outcomes) {
-		t.Fatalf("shape mismatch: %v/%d vs %v/%d",
-			got.Design, len(got.Outcomes), want.Design, len(want.Outcomes))
-	}
-	for i := range want.Outcomes {
-		if got.Outcomes[i] != want.Outcomes[i] {
-			t.Fatalf("outcome %d: %+v != %+v", i, got.Outcomes[i], want.Outcomes[i])
+	for _, adaptive := range []bool{false, true} {
+		eng, sched := residentFixture(t, adaptive)
+		want := executeSerial(t, eng, sched, rng.New(99))
+		got, err := Run(eng.Network(), sched, eng.Config(), rng.New(99))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Design != want.Design || len(got.Outcomes) != len(want.Outcomes) {
+			t.Fatalf("adaptive=%v: shape mismatch: %v/%d vs %v/%d", adaptive,
+				got.Design, len(got.Outcomes), want.Design, len(want.Outcomes))
+		}
+		for i := range want.Outcomes {
+			if got.Outcomes[i] != want.Outcomes[i] {
+				t.Fatalf("adaptive=%v outcome %d: %+v != %+v", adaptive, i, got.Outcomes[i], want.Outcomes[i])
+			}
 		}
 	}
 }
@@ -103,7 +127,7 @@ func TestEngineExecuteMatchesRun(t *testing.T) {
 // TestEngineReentrant pins that one engine executing the same schedule twice
 // from equal seeds yields identical results — no state leaks between calls.
 func TestEngineReentrant(t *testing.T) {
-	eng, sched := residentFixture(t)
+	eng, sched := residentFixture(t, false)
 	a, err := eng.ExecuteParallel(context.Background(), sched, rng.New(5), 1)
 	if err != nil {
 		t.Fatal(err)
@@ -123,27 +147,29 @@ func TestEngineReentrant(t *testing.T) {
 // the parallel engine matches the serial reference for every worker count, so
 // daemon-admitted transfers are reproducible regardless of pool width.
 func TestExecuteParallelWorkerInvariance(t *testing.T) {
-	eng, sched := residentFixture(t)
-	want := executeSerial(t, eng, sched, rng.New(77))
-	for _, workers := range []int{1, 2, 3, 4} {
-		got, err := eng.ExecuteParallel(context.Background(), sched, rng.New(77), workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if len(got.Outcomes) != len(want.Outcomes) {
-			t.Fatalf("workers=%d: %d outcomes, want %d", workers, len(got.Outcomes), len(want.Outcomes))
-		}
-		for i := range want.Outcomes {
-			if got.Outcomes[i] != want.Outcomes[i] {
-				t.Fatalf("workers=%d outcome %d: %+v != %+v",
-					workers, i, got.Outcomes[i], want.Outcomes[i])
+	for _, adaptive := range []bool{false, true} {
+		eng, sched := residentFixture(t, adaptive)
+		want := executeSerial(t, eng, sched, rng.New(77))
+		for _, workers := range []int{1, 2, 3, 4} {
+			got, err := eng.ExecuteParallel(context.Background(), sched, rng.New(77), workers)
+			if err != nil {
+				t.Fatalf("adaptive=%v workers=%d: %v", adaptive, workers, err)
+			}
+			if len(got.Outcomes) != len(want.Outcomes) {
+				t.Fatalf("adaptive=%v workers=%d: %d outcomes, want %d", adaptive, workers, len(got.Outcomes), len(want.Outcomes))
+			}
+			for i := range want.Outcomes {
+				if got.Outcomes[i] != want.Outcomes[i] {
+					t.Fatalf("adaptive=%v workers=%d outcome %d: %+v != %+v",
+						adaptive, workers, i, got.Outcomes[i], want.Outcomes[i])
+				}
 			}
 		}
 	}
 }
 
 func TestExecuteParallelCancellation(t *testing.T) {
-	eng, sched := residentFixture(t)
+	eng, sched := residentFixture(t, false)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := eng.ExecuteParallel(ctx, sched, rng.New(1), 2); err == nil {
@@ -152,7 +178,7 @@ func TestExecuteParallelCancellation(t *testing.T) {
 }
 
 func TestExecuteParallelEmptySchedule(t *testing.T) {
-	eng, _ := residentFixture(t)
+	eng, _ := residentFixture(t, false)
 	empty := routing.Schedule{Design: routing.SurfNet, Params: routing.DefaultParams(routing.SurfNet)}
 	res, err := eng.ExecuteParallel(context.Background(), empty, rng.New(1), 2)
 	if err != nil {

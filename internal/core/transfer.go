@@ -65,15 +65,17 @@ type transfer struct {
 	erased  []bool
 	isCore  []bool
 
+	frame quantum.Frame    // the error sampled for a decode; each decode rewrites it
+	dec   *decoder.Scratch // the worker's decode arena
+
 	inj        faults.Injector    // nil when the run injects no faults
 	emitFault  func(faults.Event) // lazily built fault-event sink
 	nextReplan int                // earliest slot the next re-plan may run
 	failedOnce bool               // logical error at any correction so far
 	out        Outcome
 
-	ins     instruments
-	reqIdx  int // request index, tagged onto telemetry
-	codeIdx int // code index within the request
+	ins instruments
+	slotTracer
 
 	// Hierarchical spans decomposing the transfer causally: one transfer
 	// span holding epoch spans (route generations, rotated on re-plan),
@@ -83,59 +85,32 @@ type transfer struct {
 	epochSpan    int
 }
 
-// trace emits a slot-scoped event tagged with the communication's identity.
-// The nil check keeps the untraced path to a single branch.
-func (t *transfer) trace(slot int, typ string, kv ...any) {
-	if t.cfg.Tracer == nil {
-		return
-	}
-	ev := telemetry.Ev(typ, kv...)
-	ev.Slot, ev.Req, ev.Code = slot, t.reqIdx, t.codeIdx
-	t.cfg.Tracer.Emit(ev)
-}
-
-func newTransfer(net *network.Network, sched routing.Schedule, cfg Config, code *surfacecode.Code, req network.Request, cr routing.CodeRoute, src *rng.Source) *transfer {
+// newTransfer builds the state machine of one scheduled code, tagged as code
+// ci of request ri, decoding on the arena dec.
+func newTransfer(net *network.Network, sched routing.Schedule, cfg Config, code *surfacecode.Code, req network.Request, cr routing.CodeRoute, src *rng.Source, ri, ci int, dec *decoder.Scratch) *transfer {
 	nq := code.NumData()
 	t := &transfer{
-		net:      net,
-		cfg:      cfg,
-		code:     code,
-		design:   sched.Design,
-		src:      src,
-		req:      req,
-		params:   sched.Params,
-		distance: cr.Distance,
-		errProb:  make([]float64, nq),
-		erased:   make([]bool, nq),
-		isCore:   code.CoreMask(),
-		ins:      newInstruments(cfg.Metrics),
+		net:        net,
+		cfg:        cfg,
+		code:       code,
+		design:     sched.Design,
+		src:        src,
+		req:        req,
+		params:     sched.Params,
+		distance:   cr.Distance,
+		errProb:    make([]float64, nq),
+		erased:     make([]bool, nq),
+		isCore:     code.CoreMask(),
+		frame:      make(quantum.Frame, nq),
+		dec:        dec,
+		ins:        newInstruments(cfg.Metrics),
+		slotTracer: slotTracer{tracer: cfg.Tracer, reqIdx: ri, codeIdx: ci},
 	}
 	if cfg.Faults != nil {
 		t.inj = cfg.Faults.Build(net)
 	}
-	t.support.path = append([]int(nil), cr.SupportPath...)
-	t.support.nodes = nodeSeq(net, req.Src, t.support.path)
-	if sched.Design == routing.SurfNet {
-		corePath := cr.CorePath
-		if len(corePath) == 0 {
-			corePath = cr.SupportPath
-		}
-		t.core.path = append([]int(nil), corePath...)
-		t.core.nodes = nodeSeq(net, req.Src, t.core.path)
-	}
-	t.stopNodes = append(append([]int(nil), cr.Servers...), req.Dst)
+	t.setRoute(cr)
 	return t
-}
-
-// nodeSeq expands a fiber path from src into its node sequence.
-func nodeSeq(net *network.Network, src int, fibers []int) []int {
-	nodes := []int{src}
-	v := src
-	for _, fi := range fibers {
-		v = net.Other(fi, v)
-		nodes = append(nodes, v)
-	}
-	return nodes
 }
 
 // run drives the transfer to completion or timeout, one step per slot. It
@@ -143,7 +118,7 @@ func nodeSeq(net *network.Network, src int, fibers []int) []int {
 // epoch span brackets each route generation (rotated by replan), and every
 // slot gets its own span so latency decomposes causally in the trace.
 func (t *transfer) run() (Outcome, error) {
-	t.spans = telemetry.NewSpanSet(t.cfg.Tracer, t.reqIdx, t.codeIdx)
+	t.spans = telemetry.NewSpanSet(t.tracer, t.reqIdx, t.codeIdx)
 	t.transferSpan = t.spans.Start("transfer", 0, 0)
 	t.epochSpan = t.spans.Start("epoch", t.transferSpan, 0)
 	for slot := 0; slot < t.cfg.MaxSlots; slot++ {
@@ -283,7 +258,7 @@ func (t *transfer) stepFaults(slot int) {
 		return
 	}
 	if t.emitFault == nil {
-		t.emitFault = faultEmitter(t.ins, t.cfg.Tracer, t.reqIdx, t.codeIdx)
+		t.emitFault = faultEmitter(t.ins, t.slotTracer)
 	}
 	t.inj.Step(faults.Scope{
 		Slot:   slot,
@@ -497,7 +472,7 @@ func (t *transfer) tryRecovery(part *partState, slot, stop int) {
 	newPath := append(append([]int(nil), part.path[:part.pos]...), altFibers...)
 	newPath = append(newPath, part.path[stop:]...)
 	part.path = newPath
-	part.nodes = nodeSeq(t.net, part.nodes[0], part.path)
+	part.nodes = t.net.PathNodes(part.nodes[0], part.path)
 	part.failStreak, part.nextAttempt = 0, 0
 	t.out.Recoveries++
 	t.ins.recoveries.Inc()
@@ -581,18 +556,19 @@ func (t *transfer) replan(slot int) {
 		"hops", len(t.support.path), "stops", len(t.stopNodes))
 }
 
-// setRoute restarts the transfer from the source on a fresh route: fresh
-// encode, clean channel state, stop list rebuilt from the new schedule.
+// setRoute (re)starts the transfer from the source on a route: fresh
+// encode, clean channel state, stop list rebuilt from the schedule. A SurfNet
+// code whose Core has no path of its own sends it along the Support's.
 func (t *transfer) setRoute(cr routing.CodeRoute) {
 	t.support = partState{path: append([]int(nil), cr.SupportPath...)}
-	t.support.nodes = nodeSeq(t.net, t.req.Src, t.support.path)
+	t.support.nodes = t.net.PathNodes(t.req.Src, t.support.path)
 	if t.design == routing.SurfNet {
 		corePath := cr.CorePath
 		if len(corePath) == 0 {
 			corePath = cr.SupportPath
 		}
 		t.core = partState{path: append([]int(nil), corePath...)}
-		t.core.nodes = nodeSeq(t.net, t.req.Src, t.core.path)
+		t.core.nodes = t.net.PathNodes(t.req.Src, t.core.path)
 	} else {
 		t.core = partState{}
 	}
@@ -618,28 +594,28 @@ func (t *transfer) anyErased() bool {
 // decode samples the accumulated channel error and runs the configured
 // decoder over both graphs, then resets the channel state (a corrected code
 // is fresh). It reports whether the code survived without a logical error.
+// The decoder reads errProb as it stands: erased qubits are pinned at 0.5
+// whatever their entry holds.
 func (t *transfer) decode(slot int) (bool, error) {
-	code := t.code
-	frame := quantum.NewFrame(code.NumData())
 	mixed := [4]quantum.Pauli{quantum.I, quantum.X, quantum.Y, quantum.Z}
-	probs := make([]float64, code.NumData())
 	nErased := 0
-	for q := range frame {
+	for q := range t.frame {
 		if t.erased[q] {
-			frame[q] = mixed[t.src.IntN(4)]
+			t.frame[q] = mixed[t.src.IntN(4)]
 			nErased++
 			continue
 		}
 		// Independent X/Z flips at the accumulated channel error rate.
+		p := quantum.I
 		if t.src.Bool(t.errProb[q]) {
-			frame[q] = frame[q].Mul(quantum.X)
+			p = p.Mul(quantum.X)
 		}
 		if t.src.Bool(t.errProb[q]) {
-			frame[q] = frame[q].Mul(quantum.Z)
+			p = p.Mul(quantum.Z)
 		}
-		probs[q] = t.errProb[q]
+		t.frame[q] = p
 	}
-	res, stats, err := decoder.DecodeFrameMetered(code, t.cfg.Decoder, frame, t.erased, probs, t.cfg.Metrics)
+	res, stats, err := decoder.DecodeFrame(t.code, t.cfg.Decoder, t.frame, t.erased, t.errProb, t.cfg.Metrics, t.dec)
 	if err != nil {
 		return false, fmt.Errorf("core: decoding at stop %d: %w", t.nextStop, err)
 	}

@@ -141,42 +141,32 @@ type FrameStats struct {
 
 // DecodeFrame runs dec on both decoding graphs of code c for the sampled
 // error frame and erasure mask, applies the corrections, and reports logical
-// failure. errProb gives the per-qubit estimated single-graph error
-// probability (see surfacecode.NoiseModel.EdgeErrorProb).
-func DecodeFrame(c *surfacecode.Code, dec Decoder, frame quantum.Frame, erased []bool, errProb []float64) (Result, error) {
-	res, _, err := DecodeFrameMetered(c, dec, frame, erased, errProb, nil)
-	return res, err
-}
-
-// DecodeFrameMetered is DecodeFrame plus instrumentation: it reports the
-// call's FrameStats and, when reg is non-nil, records them under the
-// decoder's name — a "decoder.<name>.decodes" invocation counter,
-// "decode_seconds", "syndrome_weight" and "correction_weight" histograms,
-// and a "logical_failures" counter. A nil registry records nothing.
-func DecodeFrameMetered(c *surfacecode.Code, dec Decoder, frame quantum.Frame, erased []bool, errProb []float64, reg *telemetry.Registry) (Result, FrameStats, error) {
-	return DecodeFrameWith(c, dec, frame, erased, errProb, reg, nil)
-}
-
-// DecodeFrameWith is DecodeFrameMetered with a caller-owned scratch arena:
-// when s is non-nil, every per-call buffer (residual frame, syndrome lists,
-// cluster growth and peeling state of ScratchDecoders) is reused from s, so
-// steady-state frame decoding allocates nothing. Result.Residual then
-// aliases the arena and is valid only until the next DecodeFrameWith with
-// the same Scratch. A nil Scratch is exactly DecodeFrameMetered; decoders
-// that do not implement ScratchDecoder fall back to Decode.
-func DecodeFrameWith(c *surfacecode.Code, dec Decoder, frame quantum.Frame, erased []bool, errProb []float64, reg *telemetry.Registry, s *Scratch) (Result, FrameStats, error) {
+// failure and the call's FrameStats. errProb gives the per-qubit estimated
+// single-graph error probability (see surfacecode.NoiseModel.EdgeErrorProb).
+//
+// Every buffer of the call (residual frame, syndrome lists, and the
+// cluster-growth, peeling and MWPM state of ScratchDecoders) comes from the
+// arena s, so steady-state decoding on a reused arena allocates nothing; a
+// nil s decodes on a fresh arena. Result.Residual aliases the arena and is
+// valid only until the next call with the same Scratch. Decoders that do not
+// implement ScratchDecoder fall back to Decode.
+//
+// When reg is non-nil the call is recorded under the decoder's name: a
+// "decoder.<name>.decodes" invocation counter, "decode_seconds",
+// "syndrome_weight" and "correction_weight" histograms, a "logical_failures"
+// counter, and the MWPM cache's hit and miss counts. A nil registry records
+// nothing.
+func DecodeFrame(c *surfacecode.Code, dec Decoder, frame quantum.Frame, erased []bool, errProb []float64, reg *telemetry.Registry, s *Scratch) (Result, FrameStats, error) {
 	start := time.Now()
+	if s == nil {
+		s = NewScratch()
+	}
 	var mwpmBase mwpmCounters
-	if s != nil && s.mwpm != nil {
+	if s.mwpm != nil {
 		mwpmBase = s.mwpm.counters
 	}
-	var res Result
-	if s != nil {
-		s.residual = append(s.residual[:0], frame...)
-		res.Residual = s.residual
-	} else {
-		res.Residual = frame.Clone()
-	}
+	s.residual = append(s.residual[:0], frame...)
+	res := Result{Residual: s.residual}
 	sd, hasScratch := dec.(ScratchDecoder)
 	decode := func(in Input) ([]int, error) {
 		if hasScratch {
@@ -184,21 +174,12 @@ func DecodeFrameWith(c *surfacecode.Code, dec Decoder, frame quantum.Frame, eras
 		}
 		return dec.Decode(in)
 	}
-	syndrome := func(kind surfacecode.GraphKind, f quantum.Frame, buf []int) []int {
-		if s != nil {
-			return s.syndrome(c, kind, f, buf)
-		}
-		return c.Syndrome(kind, f)
-	}
 	var stats FrameStats
 	// X-type components live on the Z-graph; corrections are X flips.
-	zSyn := syndrome(surfacecode.ZGraph, frame, s.zSynBuf())
-	if s != nil {
-		s.zSyn = zSyn
-	}
+	s.zSyn = s.syndrome(c, surfacecode.ZGraph, frame, s.zSyn)
 	zCorr, err := decode(Input{
 		Graph:     c.Graph(surfacecode.ZGraph),
-		Syndromes: zSyn,
+		Syndromes: s.zSyn,
 		Erased:    erased,
 		ErrorProb: errProb,
 	})
@@ -208,17 +189,14 @@ func DecodeFrameWith(c *surfacecode.Code, dec Decoder, frame quantum.Frame, eras
 	for _, q := range zCorr {
 		res.Residual.Apply(q, quantum.X)
 	}
-	// The z-side weights must be captured now: with a scratch arena the
-	// x-side decode below reuses the same syndrome and correction buffers.
-	zSynW, zCorrW := len(zSyn), len(zCorr)
+	// The z-side weights must be captured now: the x-side decode below
+	// reuses the arena's correction buffers.
+	zSynW, zCorrW := len(s.zSyn), len(zCorr)
 	// Z-type components live on the X-graph; corrections are Z flips.
-	xSyn := syndrome(surfacecode.XGraph, frame, s.xSynBuf())
-	if s != nil {
-		s.xSyn = xSyn
-	}
+	s.xSyn = s.syndrome(c, surfacecode.XGraph, frame, s.xSyn)
 	xCorr, err := decode(Input{
 		Graph:     c.Graph(surfacecode.XGraph),
-		Syndromes: xSyn,
+		Syndromes: s.xSyn,
 		Erased:    erased,
 		ErrorProb: errProb,
 	})
@@ -228,12 +206,12 @@ func DecodeFrameWith(c *surfacecode.Code, dec Decoder, frame quantum.Frame, eras
 	for _, q := range xCorr {
 		res.Residual.Apply(q, quantum.Z)
 	}
-	xSynW, xCorrW := len(xSyn), len(xCorr)
-	if left := syndrome(surfacecode.ZGraph, res.Residual, s.zSynBuf()); len(left) != 0 {
-		return Result{}, stats, fmt.Errorf("decoder %s left %d Z-graph syndromes", dec.Name(), len(left))
+	xSynW, xCorrW := len(s.xSyn), len(xCorr)
+	if s.zSyn = s.syndrome(c, surfacecode.ZGraph, res.Residual, s.zSyn); len(s.zSyn) != 0 {
+		return Result{}, stats, fmt.Errorf("decoder %s left %d Z-graph syndromes", dec.Name(), len(s.zSyn))
 	}
-	if left := syndrome(surfacecode.XGraph, res.Residual, s.xSynBuf()); len(left) != 0 {
-		return Result{}, stats, fmt.Errorf("decoder %s left %d X-graph syndromes", dec.Name(), len(left))
+	if s.xSyn = s.syndrome(c, surfacecode.XGraph, res.Residual, s.xSyn); len(s.xSyn) != 0 {
+		return Result{}, stats, fmt.Errorf("decoder %s left %d X-graph syndromes", dec.Name(), len(s.xSyn))
 	}
 	res.LogicalX = c.HasLogicalError(surfacecode.ZGraph, res.Residual)
 	res.LogicalZ = c.HasLogicalError(surfacecode.XGraph, res.Residual)
@@ -251,7 +229,7 @@ func DecodeFrameWith(c *surfacecode.Code, dec Decoder, frame quantum.Frame, eras
 		if res.Failed() {
 			reg.Counter(prefix + "logical_failures").Inc()
 		}
-		if s != nil && s.mwpm != nil {
+		if s.mwpm != nil {
 			if d := s.mwpm.counters.sub(mwpmBase); d.any() {
 				reg.Counter(prefix + "graph_cache_hits").Add(int64(d.graphHits))
 				reg.Counter(prefix + "graph_cache_misses").Add(int64(d.graphMisses))

@@ -81,13 +81,10 @@ type grower struct {
 // the round's candidate bitmap yields without a sort.
 //
 // It costs O(what the decode touches) apart from the scan of the erasure
-// mask; the returned slice aliases the scratch, and a nil Scratch allocates
-// a throwaway arena. Edge q of a decoding graph is data qubit q, so edges are
-// passed to cfg.speed and looked up in in.Erased by dense index.
+// mask; the returned slice aliases the scratch. Edge q of a decoding graph is
+// data qubit q, so edges are passed to cfg.speed and looked up in in.Erased
+// by dense index.
 func growClusters(in Input, cfg growthConfig, s *Scratch) ([]int, error) {
-	if s == nil {
-		s = NewScratch()
-	}
 	dg := in.Graph
 	g := &s.grow
 	g.reset(dg.G.NumVertices(), dg.G.NumEdges())

@@ -165,67 +165,94 @@ var growthDecoders = []growthRule{UnionFind{}, SurfNet{}, SurfNet{FiniteErasureG
 // across inputs, so every input reuses state sized and stamped by inputs of
 // other sizes.
 func FuzzGrowth(f *testing.F) {
-	codes := map[[2]int]*surfacecode.Code{}
-	for d := 2; d <= 9; d++ {
-		for _, l := range []surfacecode.CoreLayout{surfacecode.CoreLShape, surfacecode.CoreDiagonal} {
-			codes[[2]int{d, int(l)}] = surfacecode.MustNew(d, l)
-		}
-	}
+	codes := newFuzzCodes()
 	s, oracle := NewScratch(), &scanArena{}
 	for variant := uint8(0); variant < 3; variant++ {
 		f.Add(uint64(variant), uint8(7), variant, uint8(70), uint8(68), uint8(0))
 		f.Add(uint64(variant+3), uint8(2|8|16), variant, uint8(200), uint8(0), uint8(40))
 		f.Add(uint64(variant+6), uint8(5|16), variant, uint8(30), uint8(225), uint8(9))
 	}
-	mixed := [4]quantum.Pauli{quantum.I, quantum.X, quantum.Y, quantum.Z}
 	f.Fuzz(func(t *testing.T, seed uint64, shape, variant, pauli, erasure, step uint8) {
-		layout := surfacecode.CoreLShape
-		if shape&8 != 0 {
-			layout = surfacecode.CoreDiagonal
-		}
+		c := codes.pick(shape)
 		kind := surfacecode.ZGraph
 		if shape&16 != 0 {
 			kind = surfacecode.XGraph
 		}
-		c := codes[[2]int{2 + int(shape%8), int(layout)}]
-		p, e := float64(pauli%201)/1000, float64(erasure%226)/500
 		var rule growthRule = UnionFind{}
 		if variant%3 != 0 {
-			sn := SurfNet{FiniteErasureGrowth: variant%3 == 2}
-			if step != 0 {
-				sn.StepSize = float64(step%64+1) / 32
-			}
-			rule = sn
+			rule = fuzzSurfNet(variant%3 == 2, step)
 		}
-
-		src := rng.New(seed)
-		n := c.NumData()
-		frame, erased, probs := quantum.NewFrame(n), make([]bool, n), make([]float64, n)
-		for q := 0; q < n; q++ {
-			switch {
-			case src.Bool(e):
-				erased[q] = true
-				frame[q] = mixed[src.IntN(4)]
-			case src.Bool(p):
-				frame[q] = mixed[1+src.IntN(3)]
-			}
-			switch src.IntN(8) {
-			case 0:
-				probs[q] = 0
-			case 1:
-				probs[q] = src.Range(0.5, 1)
-			default:
-				probs[q] = src.Range(0, 2*p)
-			}
-		}
+		frame, erased, probs := fuzzFrame(rng.New(seed), c.NumData(), pauli, erasure)
 		in := Input{Graph: c.Graph(kind), Syndromes: c.Syndrome(kind, frame), Erased: erased, ErrorProb: probs}
 		want, wantErr := scanGrowClusters(in, rule.growth(), oracle)
 		got, err := growClusters(in, rule.growth(), s)
 		if !slices.Equal(got, want) || fmt.Sprint(err) != fmt.Sprint(wantErr) {
 			t.Fatalf("d=%d %v %v %#v: support (%v, %v), full scan (%v, %v)",
-				c.Distance(), layout, kind, rule, got, err, want, wantErr)
+				c.Distance(), c.Layout(), kind, rule, got, err, want, wantErr)
 		}
 	})
+}
+
+// fuzzCodes holds the codes the fuzz targets draw from: d from 2 to 9 in
+// both Core layouts.
+type fuzzCodes map[[2]int]*surfacecode.Code
+
+func newFuzzCodes() fuzzCodes {
+	codes := fuzzCodes{}
+	for d := 2; d <= 9; d++ {
+		for _, l := range []surfacecode.CoreLayout{surfacecode.CoreLShape, surfacecode.CoreDiagonal} {
+			codes[[2]int{d, int(l)}] = surfacecode.MustNew(d, l)
+		}
+	}
+	return codes
+}
+
+// pick returns the code of distance 2 + shape%8 in the layout bit 3 of shape
+// selects.
+func (codes fuzzCodes) pick(shape uint8) *surfacecode.Code {
+	layout := surfacecode.CoreLShape
+	if shape&8 != 0 {
+		layout = surfacecode.CoreDiagonal
+	}
+	return codes[[2]int{2 + int(shape%8), int(layout)}]
+}
+
+// fuzzSurfNet returns a SurfNet decoder whose StepSize step picks: 0 for the
+// default, else up to 2.
+func fuzzSurfNet(finite bool, step uint8) SurfNet {
+	sn := SurfNet{FiniteErasureGrowth: finite}
+	if step != 0 {
+		sn.StepSize = float64(step%64+1) / 32
+	}
+	return sn
+}
+
+// fuzzFrame draws an error frame, an erasure mask and an ErrorProb vector on
+// n data qubits from src: erasures at a rate of up to 45 % and Pauli errors
+// at up to 20 %, and ErrorProb entries that are 0, past the 0.5 clamp, or up
+// to twice the Pauli rate.
+func fuzzFrame(src *rng.Source, n int, pauli, erasure uint8) (quantum.Frame, []bool, []float64) {
+	p, e := float64(pauli%201)/1000, float64(erasure%226)/500
+	mixed := [4]quantum.Pauli{quantum.I, quantum.X, quantum.Y, quantum.Z}
+	frame, erased, probs := quantum.NewFrame(n), make([]bool, n), make([]float64, n)
+	for q := 0; q < n; q++ {
+		switch {
+		case src.Bool(e):
+			erased[q] = true
+			frame[q] = mixed[src.IntN(4)]
+		case src.Bool(p):
+			frame[q] = mixed[1+src.IntN(3)]
+		}
+		switch src.IntN(8) {
+		case 0:
+			probs[q] = 0
+		case 1:
+			probs[q] = src.Range(0.5, 1)
+		default:
+			probs[q] = src.Range(0, 2*p)
+		}
+	}
+	return frame, erased, probs
 }
 
 // TestGrowthAllocatesNothing pins the scalar Fig 8 loop's steady state: on a
@@ -238,7 +265,7 @@ func TestGrowthAllocatesNothing(t *testing.T) {
 	for _, dec := range growthDecoders {
 		s := NewScratch()
 		decode := func() {
-			if _, _, err := DecodeFrameWith(c, dec, frame, erased, probs, nil, s); err != nil {
+			if _, _, err := DecodeFrame(c, dec, frame, erased, probs, nil, s); err != nil {
 				t.Fatalf("%#v: %v", dec, err)
 			}
 		}

@@ -38,26 +38,21 @@ func (m MWPM) Decode(in Input) ([]int, error) {
 }
 
 // DecodeWith implements ScratchDecoder. The returned correction aliases the
-// scratch; a nil Scratch decodes on a private throwaway arena.
+// scratch; a nil Scratch decodes on a fresh arena.
 func (MWPM) DecodeWith(in Input, s *Scratch) ([]int, error) {
 	if err := in.validate(); err != nil {
 		return nil, err
 	}
-	q := len(in.Syndromes)
-	if q == 0 {
+	if len(in.Syndromes) == 0 {
 		return nil, nil
 	}
-	var ms *mwpmScratch
-	if s != nil {
-		if s.mwpm == nil {
-			s.mwpm = newMWPMScratch()
-		}
-		ms = s.mwpm
-		ms.probsEpoch = s.probsEpoch
-	} else {
-		ms = newMWPMScratch()
+	if s == nil {
+		s = NewScratch()
 	}
-	corr, _, err := ms.decode(in)
+	if s.mwpm == nil {
+		s.mwpm = newMWPMScratch()
+	}
+	corr, _, err := s.mwpm.decode(in)
 	return corr, err
 }
 

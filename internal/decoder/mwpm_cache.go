@@ -2,7 +2,6 @@ package decoder
 
 import (
 	"math"
-	"sync/atomic"
 
 	"surfnet/internal/graph"
 	"surfnet/internal/matching"
@@ -13,7 +12,7 @@ import (
 // count fidelity-fingerprint checks on the cached weighted graph (a miss
 // rewrites every edge weight in place); spHits/spMisses count per-syndrome
 // Dijkstra table lookups (a miss recomputes one table into cached storage).
-// DecodeFrameWith publishes the per-call deltas as telemetry counters.
+// DecodeFrame publishes the per-call deltas as telemetry counters.
 type mwpmCounters struct {
 	graphHits, graphMisses uint64
 	spHits, spMisses       uint64
@@ -39,13 +38,12 @@ func (c mwpmCounters) any() bool {
 // table at once without touching them (stale tables are recomputed in place
 // only when their source vertex shows a syndrome again).
 type mwpmCacheEntry struct {
-	wg        *graph.Weighted
-	valid     bool   // fp is meaningful (first decode must populate weights)
-	fp        uint64 // fingerprint of the effective per-qubit error probs
-	epochMode bool   // fp was computed from a probs epoch, not the full hash
-	gen       uint64
-	sps       []*graph.ShortestPaths // indexed by source vertex, nil until needed
-	spGen     []uint64               // generation sps[v] was computed at
+	wg    *graph.Weighted
+	valid bool   // fp is meaningful (first decode must populate weights)
+	fp    uint64 // fingerprint of the effective per-qubit error probs
+	gen   uint64
+	sps   []*graph.ShortestPaths // indexed by source vertex, nil until needed
+	spGen []uint64               // generation sps[v] was computed at
 }
 
 // mwpmScratch is the MWPM slice of a decode arena: the decoding-graph cache
@@ -63,11 +61,6 @@ type mwpmScratch struct {
 	edges    []matching.Edge
 	flip     []bool
 	corr     []int
-
-	// probsEpoch, when non-zero, asserts the ErrorProb contents are fully
-	// identified by this tag (see NewProbsEpoch): entryFor then keys the
-	// cache on epoch + erasure set instead of hashing the float vector.
-	probsEpoch uint64
 
 	counters mwpmCounters
 }
@@ -94,35 +87,6 @@ func fingerprintProbs(in Input) uint64 {
 	return h
 }
 
-// probsEpochCounter backs NewProbsEpoch; epoch 0 is reserved for "no epoch"
-// (the legacy full-hash mode).
-var probsEpochCounter atomic.Uint64
-
-// NewProbsEpoch allocates a process-unique, non-zero tag identifying one
-// fidelity-vector state. Callers whose ErrorProb vector is fixed for many
-// decodes (Monte-Carlo sweeps where only faults would mutate fidelities)
-// allocate an epoch per vector state, install it with Scratch.SetProbsEpoch,
-// and the MWPM cache then skips the O(q) float hash on every decode: the
-// cache key becomes the epoch plus a cheap erasure fingerprint, and a drift
-// event just allocates a fresh epoch to invalidate.
-func NewProbsEpoch() uint64 { return probsEpochCounter.Add(1) }
-
-// fingerprintErasures hashes the erasure set — the only per-frame component
-// of the effective probability vector once the ErrorProb contents are pinned
-// by an epoch. A quiet frame hashes in one branch-predictable pass over the
-// bool slice, with no float loads or multiplies.
-func fingerprintErasures(in Input) uint64 {
-	h := uint64(0x9e3779b97f4a7c15)
-	for q, e := range in.Erased {
-		if e {
-			h ^= uint64(q) + 0x2545f4914f6cdd1d
-			h *= 0xff51afd7ed558ccd
-			h ^= h >> 33
-		}
-	}
-	return h
-}
-
 // entryFor returns the cache entry for in.Graph with weights current for
 // in's fidelity vector, creating or refreshing it as needed.
 func (ms *mwpmScratch) entryFor(in Input) *mwpmCacheEntry {
@@ -141,17 +105,8 @@ func (ms *mwpmScratch) entryFor(in Input) *mwpmCacheEntry {
 		}
 		ms.entries[dg] = ent
 	}
-	epochMode := ms.probsEpoch != 0
-	var fp uint64
-	if epochMode {
-		// Epoch mode: the caller vouches for the ErrorProb contents, so the
-		// key is the epoch mixed with the per-frame erasure set — no float
-		// hashing on the hit path.
-		fp = ms.probsEpoch ^ fingerprintErasures(in)
-	} else {
-		fp = fingerprintProbs(in)
-	}
-	if ent.valid && ent.epochMode == epochMode && ent.fp == fp {
+	fp := fingerprintProbs(in)
+	if ent.valid && ent.fp == fp {
 		ms.counters.graphHits++
 		return ent
 	}
@@ -160,7 +115,6 @@ func (ms *mwpmScratch) entryFor(in Input) *mwpmCacheEntry {
 		ent.wg.SetWeight(i, qubitWeight(in, ent.wg.Edge(i).ID))
 	}
 	ent.fp = fp
-	ent.epochMode = epochMode
 	ent.valid = true
 	ent.gen++ // every cached Dijkstra table is now stale
 	return ent

@@ -251,14 +251,14 @@ func TestMWPMCacheKeepsBothGraphEntries(t *testing.T) {
 	src := rng.New(13)
 	s := NewScratch()
 	frame, erased := nm.Sample(src)
-	if _, _, err := DecodeFrameWith(code, MWPM{}, frame, erased, probs, nil, s); err != nil {
+	if _, _, err := DecodeFrame(code, MWPM{}, frame, erased, probs, nil, s); err != nil {
 		t.Fatal(err)
 	}
 	if c := s.mwpm.counters; c.graphMisses != 2 || c.graphHits != 0 {
 		t.Fatalf("first frame: %+v, want misses on both graphs", c)
 	}
 	frame2, erased2 := nm.Sample(src)
-	if _, _, err := DecodeFrameWith(code, MWPM{}, frame2, erased2, probs, nil, s); err != nil {
+	if _, _, err := DecodeFrame(code, MWPM{}, frame2, erased2, probs, nil, s); err != nil {
 		t.Fatal(err)
 	}
 	if c := s.mwpm.counters; c.graphMisses != 2 || c.graphHits != 2 {

@@ -29,13 +29,16 @@ var errUnpeelable = fmt.Errorf("decoder: peeling left a live syndrome off the bo
 // the cluster invariant the returned error wraps ErrClusterInvariant and the
 // caller must fall back to a full decode; growClusters would have grown the
 // support on exactly those inputs. The returned correction aliases the
-// scratch; a nil Scratch allocates a throwaway arena.
+// scratch; a nil Scratch peels on a fresh arena.
 func PeelErasure[E int | int32](in Input, support []E, s *Scratch) ([]int, error) {
 	if err := in.validate(); err != nil {
 		return nil, err
 	}
 	if len(in.Syndromes) == 0 {
 		return nil, nil
+	}
+	if s == nil {
+		s = NewScratch()
 	}
 	return peel(in, support, s)
 }
@@ -70,11 +73,8 @@ type peeler struct {
 // syndromes or a boundary vertex) its syndrome count is even, so its
 // correction does not depend on where. peel returns errUnpeelable when the
 // invariant fails. It costs O(|support| + |syndromes|); the correction
-// aliases the scratch, and a nil Scratch allocates a throwaway arena.
+// aliases the scratch.
 func peel[E int | int32](in Input, support []E, s *Scratch) ([]int, error) {
-	if s == nil {
-		s = NewScratch()
-	}
 	dg := in.Graph
 	p := &s.peel
 	p.reset(dg.G.NumVertices())

@@ -6,9 +6,11 @@ import (
 )
 
 // Scratch is a reusable decode arena: every slice the cluster-growth engine,
-// the peeling decoder, and the frame harness would otherwise allocate per
-// call. Monte Carlo loops keep one Scratch per worker and thread it through
-// DecodeFrameWith so steady-state decoding stops allocating per trial.
+// the peeling decoder, the MWPM cache, and the frame harness would otherwise
+// allocate per call. Every decode runs on one: Monte Carlo loops and the
+// engine keep one Scratch per worker and thread it through DecodeFrame, so
+// steady-state decoding stops allocating per trial, and the public entries
+// given a nil Scratch decode on a fresh one.
 //
 // A Scratch is owned by one goroutine at a time; the zero value is ready to
 // use. Slices returned by scratch-backed calls (corrections, syndromes,
@@ -33,45 +35,11 @@ type Scratch struct {
 	// weighted-graph and Dijkstra-table cache plus the blossom arena.
 	// Created lazily by the first MWPM.DecodeWith on this arena.
 	mwpm *mwpmScratch
-	// probsEpoch is the caller-declared fidelity-vector tag threaded into
-	// the MWPM cache on each DecodeWith; see SetProbsEpoch.
-	probsEpoch uint64
 }
 
 // NewScratch returns an empty arena. Buffers are sized lazily by the first
 // decode that uses them.
 func NewScratch() *Scratch { return &Scratch{} }
-
-// SetProbsEpoch declares that, until the next call, every ErrorProb vector
-// decoded on this arena is fully identified by epoch (a NewProbsEpoch tag):
-// equal epoch implies byte-equal ErrorProb contents per graph. The MWPM cache
-// then replaces the O(q) fidelity-vector hash with an epoch + erasure-set
-// key. Callers whose fidelities can drift (faults) must allocate a fresh
-// epoch at every mutation — a stale epoch silently decodes with stale
-// weights. Zero (the default) restores the content-hash mode, which is
-// always safe. Nil-receiver safe.
-func (s *Scratch) SetProbsEpoch(epoch uint64) {
-	if s == nil {
-		return
-	}
-	s.probsEpoch = epoch
-}
-
-// zSynBuf and xSynBuf expose the syndrome buffers nil-safely, so the frame
-// harness can thread them whether or not an arena is in use.
-func (s *Scratch) zSynBuf() []int {
-	if s == nil {
-		return nil
-	}
-	return s.zSyn
-}
-
-func (s *Scratch) xSynBuf() []int {
-	if s == nil {
-		return nil
-	}
-	return s.xSyn
-}
 
 // growBools returns a zeroed length-n bool slice, reusing buf's capacity.
 func growBools(buf []bool, n int) []bool {

@@ -24,24 +24,10 @@ func (d UnionFind) Decode(in Input) ([]int, error) { return d.DecodeWith(in, nil
 
 // DecodeWith implements ScratchDecoder.
 func (d UnionFind) DecodeWith(in Input, s *Scratch) ([]int, error) {
-	if err := in.validate(); err != nil {
-		return nil, err
-	}
-	// No syndromes means the correction is provably empty regardless of
-	// erasures: pre-grown erasure clusters all have even (zero) parity, so
-	// growth never starts and peeling emits nothing. Short-circuit exactly
-	// like SurfNet.DecodeWith does.
-	if len(in.Syndromes) == 0 {
-		return nil, nil
-	}
 	if s == nil {
 		s = NewScratch()
 	}
-	support, err := growClusters(in, d.growth(), s)
-	if err != nil {
-		return nil, err
-	}
-	return peel(in, support, s)
+	return growAndPeel(in, d.growth(), s)
 }
 
 // growth returns the baseline's growth rule: every qubit grows at half an
@@ -51,6 +37,26 @@ func (UnionFind) growth() growthConfig {
 		speed:           func(Input, int) float64 { return 0.5 },
 		preGrowErasures: true,
 	}
+}
+
+// growAndPeel is the body of UnionFind.DecodeWith and SurfNet.DecodeWith,
+// which differ only in their growth rule: cluster growth under cfg, then
+// peeling of the grown support.
+func growAndPeel(in Input, cfg growthConfig, s *Scratch) ([]int, error) {
+	if err := in.validate(); err != nil {
+		return nil, err
+	}
+	// No syndromes means the correction is provably empty regardless of
+	// erasures: pre-grown erasure clusters all have even (zero) parity, so
+	// growth never starts and peeling emits nothing.
+	if len(in.Syndromes) == 0 {
+		return nil, nil
+	}
+	support, err := growClusters(in, cfg, s)
+	if err != nil {
+		return nil, err
+	}
+	return peel(in, support, s)
 }
 
 // SurfNet is the SurfNet Decoder of Algorithm 2: cluster growth at
@@ -90,20 +96,10 @@ func (d SurfNet) Decode(in Input) ([]int, error) { return d.DecodeWith(in, nil) 
 
 // DecodeWith implements ScratchDecoder.
 func (d SurfNet) DecodeWith(in Input, s *Scratch) ([]int, error) {
-	if err := in.validate(); err != nil {
-		return nil, err
-	}
-	if len(in.Syndromes) == 0 {
-		return nil, nil
-	}
 	if s == nil {
 		s = NewScratch()
 	}
-	support, err := growClusters(in, d.growth(), s)
-	if err != nil {
-		return nil, err
-	}
-	return peel(in, support, s)
+	return growAndPeel(in, d.growth(), s)
 }
 
 // growth returns Algorithm 2's growth rule: qubit q grows at -r/ln(1-rho_q)

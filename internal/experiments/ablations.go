@@ -138,8 +138,7 @@ func StepSizeStudy(cfg DecoderStudyConfig, steps []float64) ([]DecoderPoint, err
 // the SurfNet Decoder, and cached sparse MWPM — at the reference operating
 // point. The MWPM column was dropped from default runs when a dense decode
 // cost ~40µs; the scratch-cached sparse path (DESIGN §10) re-admits it to
-// 20k-trial sweeps (ROADMAP item 5). logicalRate tags each cell with a
-// probs epoch, so MWPM skips the per-frame fidelity hash throughout.
+// 20k-trial sweeps (ROADMAP item 5).
 func DecoderFamilyStudy(cfg DecoderStudyConfig) ([]DecoderPoint, error) {
 	return decoderAblation(cfg, 11, 0.07, 0.15, surfacecode.CoreLShape,
 		[]struct {

@@ -158,19 +158,12 @@ type fig8Scratch struct {
 // trial i samples from root.SplitN("t", i), decodes, and reports failure.
 func scalarTrial(code *surfacecode.Code, nm *surfacecode.NoiseModel, dec decoder.Decoder, pauli float64, root *rng.Source, reg *telemetry.Registry) func(int, *sim.Worker) (bool, error) {
 	probs := nm.EdgeErrorProb()
-	// The probs vector is fixed for the whole cell, so one epoch tag lets
-	// the MWPM cache skip the per-decode fidelity-vector hash. sim.Run
-	// builds its workers per call, so an arena lives for this cell only and
-	// takes the tag once, when it is built.
-	epoch := decoder.NewProbsEpoch()
 	return func(i int, w *sim.Worker) (bool, error) {
 		sc := sim.Scratch(w, "fig8", func() *fig8Scratch {
-			sc := &fig8Scratch{dec: decoder.NewScratch()}
-			sc.dec.SetProbsEpoch(epoch)
-			return sc
+			return &fig8Scratch{dec: decoder.NewScratch()}
 		})
 		sc.frame, sc.erased = nm.SampleInto(root.SplitN("t", i), sc.frame, sc.erased)
-		res, _, err := decoder.DecodeFrameWith(code, dec, sc.frame, sc.erased, probs, reg, sc.dec)
+		res, _, err := decoder.DecodeFrame(code, dec, sc.frame, sc.erased, probs, reg, sc.dec)
 		if err != nil {
 			return false, fmt.Errorf("experiments: decoding d=%d p=%v trial %d: %w",
 				code.Distance(), pauli, i, err)

@@ -1,6 +1,8 @@
 // Package graph provides the graph primitives shared by the decoders and the
-// routing layer: a union-find, Dijkstra shortest paths on weighted adjacency
-// structures, and connected components.
+// routing layer: Dijkstra shortest paths on weighted adjacency structures
+// (the MWPM decoder and routing), plus a union-find and connected
+// components, which only the test oracles of cluster growth and peeling use;
+// the decoders themselves grow and peel on their own version-stamped records.
 package graph
 
 // UnionFind is a disjoint-set forest with union by rank and path compression.
@@ -28,8 +30,9 @@ func NewUnionFind(n int) *UnionFind {
 func (u *UnionFind) Len() int { return len(u.parent) }
 
 // Reset reinitializes the structure to n singleton elements, reusing the
-// backing arrays when their capacity allows. It is the allocation-free path
-// for hot loops that build a union-find per decode.
+// backing arrays when their capacity allows, so a loop that builds one
+// union-find per input (the cluster-growth oracle of the decoder tests)
+// allocates once.
 func (u *UnionFind) Reset(n int) {
 	if cap(u.parent) < n {
 		u.parent = make([]int32, n)

@@ -184,6 +184,18 @@ func (n *Network) Other(fi, v int) int {
 	return f.A
 }
 
+// PathNodes expands a fiber path starting at src into the visited node
+// sequence (src, ..., dst).
+func (n *Network) PathNodes(src int, fibers []int) []int {
+	nodes := append(make([]int, 0, len(fibers)+1), src)
+	v := src
+	for _, fi := range fibers {
+		v = n.Other(fi, v)
+		nodes = append(nodes, v)
+	}
+	return nodes
+}
+
 // Mask copies the network with outages applied, for planning around them.
 // A down fiber, or one touching a down node, keeps its endpoints, so IDs
 // stay dense and the graph stays connected, but loses all scheduling value:

@@ -3,6 +3,7 @@ package network
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -79,6 +80,12 @@ func TestAccessors(t *testing.T) {
 	}
 	if len(n.Incident(1)) != 2 {
 		t.Errorf("Incident(1) = %v", n.Incident(1))
+	}
+	if got := n.PathNodes(2, []int{1, 0}); !slices.Equal(got, []int{2, 1, 0}) {
+		t.Errorf("PathNodes(2, [1 0]) = %v, want [2 1 0]", got)
+	}
+	if got := n.PathNodes(0, nil); !slices.Equal(got, []int{0}) {
+		t.Errorf("PathNodes(0, nil) = %v, want [0]", got)
 	}
 }
 

@@ -298,5 +298,5 @@ func admissiblePath(cs *capacityState, r network.Request, p Params) (fibers []in
 	for i, ei := range path {
 		fibers[i] = g.Edge(ei).ID
 	}
-	return fibers, pathNodes(net, r.Src, fibers), true
+	return fibers, net.PathNodes(r.Src, fibers), true
 }

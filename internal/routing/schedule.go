@@ -147,15 +147,3 @@ func (cs *capacityState) chargeFiber(f, pairs int) error {
 	cs.entPairs[f] -= pairs
 	return nil
 }
-
-// pathNodes expands a fiber path starting at src into the visited node
-// sequence (src, ..., dst).
-func pathNodes(net *network.Network, src int, fibers []int) []int {
-	nodes := []int{src}
-	v := src
-	for _, fi := range fibers {
-		v = net.Other(fi, v)
-		nodes = append(nodes, v)
-	}
-	return nodes
-}
