@@ -92,11 +92,12 @@ const (
 // side information: w = -ln(p_err), with known erasures pinned at
 // p_err = 1 - ErasureFidelity = 0.5 (§IV-C).
 func qubitWeight(in Input, q int) float64 {
-	return -math.Log(qubitErrProb(in, q))
+	return -math.Log(qubitErrProb(&in, q))
 }
 
 // qubitErrProb returns the clamped estimated error probability of qubit q.
-func qubitErrProb(in Input, q int) float64 {
+// It takes in by pointer, so a call in a loop copies no Input.
+func qubitErrProb(in *Input, q int) float64 {
 	p := in.ErrorProb[q]
 	if in.Erased[q] {
 		p = 1 - quantum.ErasureFidelity
@@ -143,13 +144,18 @@ type FrameStats struct {
 // error frame and erasure mask, applies the corrections, and reports logical
 // failure and the call's FrameStats. errProb gives the per-qubit estimated
 // single-graph error probability (see surfacecode.NoiseModel.EdgeErrorProb).
+// A frame that does not cover exactly the code's data qubits is an
+// ErrInvalidInput.
 //
-// Every buffer of the call (residual frame, syndrome lists, and the
-// cluster-growth, peeling and MWPM state of ScratchDecoders) comes from the
-// arena s, so steady-state decoding on a reused arena allocates nothing; a
-// nil s decodes on a fresh arena. Result.Residual aliases the arena and is
-// valid only until the next call with the same Scratch. Decoders that do not
-// implement ScratchDecoder fall back to Decode.
+// One surfacecode.Code.SyndromesInto pass gives both graphs' syndromes of
+// the frame, and a second one, of the residual, checks that the
+// corrections cleared them. Every buffer of the call (residual frame,
+// syndrome lists, and the cluster-growth, peeling and MWPM state of
+// ScratchDecoders) comes from the arena s, so steady-state decoding on a
+// reused arena allocates nothing; a nil s decodes on a fresh arena.
+// Result.Residual aliases the arena and is valid only until the next call
+// with the same Scratch. Decoders that do not implement ScratchDecoder fall
+// back to Decode.
 //
 // When reg is non-nil the call is recorded under the decoder's name: a
 // "decoder.<name>.decodes" invocation counter, "decode_seconds",
@@ -158,6 +164,9 @@ type FrameStats struct {
 // nothing.
 func DecodeFrame(c *surfacecode.Code, dec Decoder, frame quantum.Frame, erased []bool, errProb []float64, reg *telemetry.Registry, s *Scratch) (Result, FrameStats, error) {
 	start := time.Now()
+	if len(frame) != c.NumData() {
+		return Result{}, FrameStats{}, fmt.Errorf("%w: frame covers %d qubits, code has %d", ErrInvalidInput, len(frame), c.NumData())
+	}
 	if s == nil {
 		s = NewScratch()
 	}
@@ -175,11 +184,12 @@ func DecodeFrame(c *surfacecode.Code, dec Decoder, frame quantum.Frame, erased [
 		return dec.Decode(in)
 	}
 	var stats FrameStats
+	syn := &s.syn
+	c.SyndromesInto(frame, syn)
 	// X-type components live on the Z-graph; corrections are X flips.
-	s.zSyn = s.syndrome(c, surfacecode.ZGraph, frame, s.zSyn)
 	zCorr, err := decode(Input{
 		Graph:     c.Graph(surfacecode.ZGraph),
-		Syndromes: s.zSyn,
+		Syndromes: syn.Z,
 		Erased:    erased,
 		ErrorProb: errProb,
 	})
@@ -191,12 +201,11 @@ func DecodeFrame(c *surfacecode.Code, dec Decoder, frame quantum.Frame, erased [
 	}
 	// The z-side weights must be captured now: the x-side decode below
 	// reuses the arena's correction buffers.
-	zSynW, zCorrW := len(s.zSyn), len(zCorr)
+	zSynW, zCorrW := len(syn.Z), len(zCorr)
 	// Z-type components live on the X-graph; corrections are Z flips.
-	s.xSyn = s.syndrome(c, surfacecode.XGraph, frame, s.xSyn)
 	xCorr, err := decode(Input{
 		Graph:     c.Graph(surfacecode.XGraph),
-		Syndromes: s.xSyn,
+		Syndromes: syn.X,
 		Erased:    erased,
 		ErrorProb: errProb,
 	})
@@ -206,12 +215,13 @@ func DecodeFrame(c *surfacecode.Code, dec Decoder, frame quantum.Frame, erased [
 	for _, q := range xCorr {
 		res.Residual.Apply(q, quantum.Z)
 	}
-	xSynW, xCorrW := len(s.xSyn), len(xCorr)
-	if s.zSyn = s.syndrome(c, surfacecode.ZGraph, res.Residual, s.zSyn); len(s.zSyn) != 0 {
-		return Result{}, stats, fmt.Errorf("decoder %s left %d Z-graph syndromes", dec.Name(), len(s.zSyn))
+	xSynW, xCorrW := len(syn.X), len(xCorr)
+	c.SyndromesInto(res.Residual, syn)
+	if len(syn.Z) != 0 {
+		return Result{}, stats, fmt.Errorf("decoder %s left %d Z-graph syndromes", dec.Name(), len(syn.Z))
 	}
-	if s.xSyn = s.syndrome(c, surfacecode.XGraph, res.Residual, s.xSyn); len(s.xSyn) != 0 {
-		return Result{}, stats, fmt.Errorf("decoder %s left %d X-graph syndromes", dec.Name(), len(s.xSyn))
+	if len(syn.X) != 0 {
+		return Result{}, stats, fmt.Errorf("decoder %s left %d X-graph syndromes", dec.Name(), len(syn.X))
 	}
 	res.LogicalX = c.HasLogicalError(surfacecode.ZGraph, res.Residual)
 	res.LogicalZ = c.HasLogicalError(surfacecode.XGraph, res.Residual)

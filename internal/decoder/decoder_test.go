@@ -1,6 +1,7 @@
 package decoder
 
 import (
+	"errors"
 	"testing"
 
 	"surfnet/internal/quantum"
@@ -319,6 +320,30 @@ func TestSurfNetStepSizeConfigurable(t *testing.T) {
 			f, erased := nm.Sample(src.SplitN("t", trial))
 			if _, _, err := DecodeFrame(c, dec, f, erased, probs, nil, nil); err != nil {
 				t.Fatalf("step %v trial %d: %v", r, trial, err)
+			}
+		}
+	}
+}
+
+// TestDecodeFrameChecksFrameLength pins DecodeFrame's frame check on the
+// 41-qubit d = 5 code: a 40- or 44-entry frame is an ErrInvalidInput for
+// every decoder, and a 41-entry one decodes.
+func TestDecodeFrameChecksFrameLength(t *testing.T) {
+	c := surfacecode.MustNew(5, surfacecode.CoreLShape)
+	nm := surfacecode.UniformNoise(c, 0.05, 0.1)
+	frame, erased := nm.Sample(rng.New(1))
+	probs := nm.EdgeErrorProb()
+	for _, dec := range []Decoder{UnionFind{}, SurfNet{}, MWPM{}} {
+		for _, n := range []int{40, 44, 41} {
+			f := quantum.NewFrame(n)
+			copy(f, frame)
+			_, _, err := DecodeFrame(c, dec, f, erased, probs, nil, nil)
+			if n == c.NumData() {
+				if err != nil {
+					t.Errorf("%s: %d-entry frame: %v", dec.Name(), n, err)
+				}
+			} else if !errors.Is(err, ErrInvalidInput) {
+				t.Errorf("%s: %d-entry frame on a %d-qubit code: err = %v, want ErrInvalidInput", dec.Name(), n, c.NumData(), err)
 			}
 		}
 	}

@@ -14,8 +14,10 @@ const maxGrowthRounds = 1_000_000
 // the Union-Find baseline and the SurfNet Decoder.
 type growthConfig struct {
 	// speed returns the growth contribution (in edge units per round) an
-	// odd cluster adds to data qubit q's edge.
-	speed func(in Input, q int) float64
+	// odd cluster adds to the edge of a data qubit whose clamped error
+	// probability (qubitErrProb) is p. It must be a pure function of p:
+	// growClusters calls it once per run of equal probabilities.
+	speed func(p float64) float64
 	// preGrowErasures adds all erased edges to the initial cluster
 	// support, the erasure handling of the Union-Find decoder baseline
 	// [32]. The SurfNet Decoder instead lets erasures grow at their own
@@ -49,6 +51,8 @@ type growVertex struct {
 type growEdge struct {
 	stamp  uint32
 	grown  bool
+	forest bool    // grown, and its fusion joined two clusters
+	visits uint8   // visits in this round's marking: its live endpoints
 	speed  float64 // what one active endpoint adds per round
 	growth float64
 }
@@ -74,16 +78,23 @@ type grower struct {
 // clusters, through each cluster's frontier: its member vertices that may
 // still have one. Clusters carry explicit labels; a fusion relabels the
 // smaller cluster and appends its member and frontier lists to the larger's.
-// Each edge's speed is computed once per decode, when the edge is first
-// visited. The support is the same slice, in the same order, as a scan of
+// Each edge's speed is set once per decode, when the edge is first visited,
+// and cfg.speed runs only when the qubit's probability differs from the
+// last one's. A round's marking counts each candidate's visits: an edge is
+// visited once from each endpoint on an active frontier, and every live
+// endpoint of an ungrown edge is on one, so the count is its live
+// endpoints. The support is the same slice, in the same order, as a scan of
 // every edge per round would give: pre-grown erasures in ascending edge
 // index, then each round's completed edges in ascending edge index, which
-// the round's candidate bitmap yields without a sort.
+// the round's candidate bitmap yields without a sort. Each support edge
+// records whether its fusion joined two clusters; those edges are the
+// support's spanning forest in support order, the one the peeler's
+// union-find would build.
 //
 // It costs O(what the decode touches) apart from the scan of the erasure
 // mask; the returned slice aliases the scratch. Edge q of a decoding graph is
-// data qubit q, so edges are passed to cfg.speed and looked up in in.Erased
-// by dense index.
+// data qubit q, so edges look up their probability and erasure by dense
+// index.
 func growClusters(in Input, cfg growthConfig, s *Scratch) ([]int, error) {
 	dg := in.Graph
 	g := &s.grow
@@ -100,9 +111,8 @@ func growClusters(in Input, cfg growthConfig, s *Scratch) ([]int, error) {
 			if !erased {
 				continue
 			}
-			es[ei] = growEdge{stamp: stamp, grown: true}
+			es[ei] = growEdge{stamp: stamp, grown: true, forest: g.fuse(ends[ei], numReal)}
 			support = append(support, ei)
-			g.fuse(ends[ei], numReal)
 		}
 	}
 	active := g.active[:0]
@@ -111,6 +121,7 @@ func growClusters(in Input, cfg growthConfig, s *Scratch) ([]int, error) {
 	}
 
 	cand := g.cand
+	lastP, lastSpeed := -1.0, 0.0 // no clamped probability is negative
 	for round := 0; len(active) > 0; round++ {
 		if round >= maxGrowthRounds {
 			return nil, fmt.Errorf("decoder: cluster growth did not converge after %d rounds", maxGrowthRounds)
@@ -128,10 +139,14 @@ func growClusters(in Input, cfg growthConfig, s *Scratch) ([]int, error) {
 				for _, ei := range dg.G.Incident(int(v)) {
 					e := &es[ei]
 					if e.stamp != stamp {
-						*e = growEdge{stamp: stamp, speed: cfg.speed(in, int(ei))}
+						if p := qubitErrProb(&in, int(ei)); p != lastP {
+							lastP, lastSpeed = p, cfg.speed(p)
+						}
+						*e = growEdge{stamp: stamp, speed: lastSpeed}
 					} else if e.grown {
 						continue
 					}
+					e.visits++
 					open = true
 					w := int(ei >> 6)
 					cand[w] |= 1 << (ei & 63)
@@ -161,14 +176,10 @@ func growClusters(in Input, cfg growthConfig, s *Scratch) ([]int, error) {
 			for ; word != 0; word &= word - 1 {
 				ei := w<<6 | bits.TrailingZeros64(word)
 				e := &es[ei]
-				contrib := 0.0
-				if g.live(ends[ei][0]) {
-					contrib += e.speed
-				}
-				if g.live(ends[ei][1]) {
-					contrib += e.speed
-				}
-				e.growth += contrib
+				// speed × 2 is speed + speed exactly, the sum of
+				// two live endpoints' contributions.
+				e.growth += e.speed * float64(e.visits)
+				e.visits = 0
 				if e.growth >= 1-1e-12 {
 					completed = append(completed, ei)
 				}
@@ -179,7 +190,7 @@ func growClusters(in Input, cfg growthConfig, s *Scratch) ([]int, error) {
 		// together (Algorithm 2 line 7).
 		for _, ei := range completed {
 			es[ei].grown = true
-			g.fuse(ends[ei], numReal)
+			es[ei].forest = g.fuse(ends[ei], numReal)
 		}
 		g.completed = completed
 		// Every cluster still active holds one that was active before the
@@ -225,16 +236,11 @@ func (g *grower) touch(v, numReal int32) {
 	}
 }
 
-// live reports whether v's cluster still grows: odd parity and no boundary
-// contact (a boundary absorbs any parity). An untouched vertex is an even
-// singleton.
-func (g *grower) live(v int32) bool {
-	x := &g.v[v]
-	if x.stamp != g.stamp {
-		return false
-	}
-	c := &g.v[x.root]
-	return c.odd && !c.boundary
+// sameCluster reports whether u and v were both touched and lie in one
+// cluster.
+func (g *grower) sameCluster(u, v int32) bool {
+	vs := g.v
+	return vs[u].stamp == g.stamp && vs[v].stamp == g.stamp && vs[u].root == vs[v].root
 }
 
 // list appends the cluster of v to active when it is active and not yet
@@ -250,14 +256,14 @@ func (g *grower) list(active []int32, v int32) []int32 {
 
 // fuse merges the clusters at the two ends of a grown edge: the smaller
 // takes the larger's label, and its member and frontier lists are appended
-// to the larger's.
-func (g *grower) fuse(end [2]int32, numReal int32) {
+// to the larger's. It reports whether the edge joined two clusters.
+func (g *grower) fuse(end [2]int32, numReal int32) bool {
 	g.touch(end[0], numReal)
 	g.touch(end[1], numReal)
 	vs := g.v
 	ru, rv := vs[end[0]].root, vs[end[1]].root
 	if ru == rv {
-		return
+		return false
 	}
 	if vs[ru].size < vs[rv].size {
 		ru, rv = rv, ru
@@ -279,4 +285,5 @@ func (g *grower) fuse(end [2]int32, numReal int32) {
 	}
 	big.odd = big.odd != small.odd
 	big.boundary = big.boundary || small.boundary
+	return true
 }

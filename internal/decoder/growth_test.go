@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"surfnet/internal/graph"
 	"surfnet/internal/quantum"
@@ -118,10 +119,10 @@ func scanGrowClusters(in Input, cfg growthConfig, s *scanArena) ([]int, error) {
 			e := dg.G.Edge(ei)
 			contrib := 0.0
 			if cs.active(e.U) {
-				contrib += cfg.speed(in, e.ID)
+				contrib += cfg.speed(qubitErrProb(&in, e.ID))
 			}
 			if cs.active(e.V) {
-				contrib += cfg.speed(in, e.ID)
+				contrib += cfg.speed(qubitErrProb(&in, e.ID))
 			}
 			if contrib == 0 {
 				continue
@@ -156,17 +157,20 @@ type growthRule interface {
 var growthDecoders = []growthRule{UnionFind{}, SurfNet{}, SurfNet{FiniteErasureGrowth: true}}
 
 // FuzzGrowth checks growClusters against scanGrowClusters: the same support,
-// in the same order, and the same error. shape picks the code (d from 2 to
-// 9, either Core layout) and the graph kind; seed draws the erasures and
-// Pauli errors at the pauli (up to 20 %) and erasure (up to 45 %) rates, and
-// a non-uniform ErrorProb with entries past both clamps; variant picks
-// UnionFind, SurfNet or SurfNet{FiniteErasureGrowth: true}, and step its
-// StepSize (0 for the default, else up to 2). Both sides keep one arena
-// across inputs, so every input reuses state sized and stamped by inputs of
-// other sizes.
+// in the same order, and the same error. It also checks the decoder's
+// correction, peeled on the spanning forest growth recorded, against
+// PeelErasure on that support, whose union-find builds the forest afresh:
+// the same slice, in the same order, and the same error. shape picks the
+// code (d from 2 to 9, either Core layout) and the graph kind; seed draws
+// the erasures and Pauli errors at the pauli (up to 20 %) and erasure (up to
+// 45 %) rates, and a non-uniform ErrorProb with entries past both clamps;
+// variant picks UnionFind, SurfNet or SurfNet{FiniteErasureGrowth: true},
+// and step its StepSize (0 for the default, else up to 2). Every side keeps
+// one arena across inputs, so every input reuses state sized and stamped by
+// inputs of other sizes.
 func FuzzGrowth(f *testing.F) {
 	codes := newFuzzCodes()
-	s, oracle := NewScratch(), &scanArena{}
+	s, oracle, peelArena := NewScratch(), &scanArena{}, NewScratch()
 	for variant := uint8(0); variant < 3; variant++ {
 		f.Add(uint64(variant), uint8(7), variant, uint8(70), uint8(68), uint8(0))
 		f.Add(uint64(variant+3), uint8(2|8|16), variant, uint8(200), uint8(0), uint8(40))
@@ -189,6 +193,16 @@ func FuzzGrowth(f *testing.F) {
 		if !slices.Equal(got, want) || fmt.Sprint(err) != fmt.Sprint(wantErr) {
 			t.Fatalf("d=%d %v %v %#v: support (%v, %v), full scan (%v, %v)",
 				c.Distance(), c.Layout(), kind, rule, got, err, want, wantErr)
+		}
+		if err != nil {
+			return
+		}
+		support := slices.Clone(got) // got aliases s, which the decode regrows
+		peeled, peelErr := PeelErasure(in, support, peelArena)
+		corr, corrErr := rule.DecodeWith(in, s)
+		if !slices.Equal(corr, peeled) || fmt.Sprint(corrErr) != fmt.Sprint(peelErr) {
+			t.Fatalf("d=%d %v %v %#v: correction (%v, %v), PeelErasure on the support %v (%v, %v)",
+				c.Distance(), c.Layout(), kind, rule, corr, corrErr, support, peeled, peelErr)
 		}
 	})
 }
@@ -256,7 +270,8 @@ func fuzzFrame(src *rng.Source, n int, pauli, erasure uint8) (quantum.Frame, []b
 }
 
 // TestGrowthAllocatesNothing pins the scalar Fig 8 loop's steady state: on a
-// warm Scratch, a frame decode with each growth decoder allocates nothing.
+// warm Scratch, a frame decode with each growth decoder allocates nothing,
+// and neither does growAndPeel on either graph.
 func TestGrowthAllocatesNothing(t *testing.T) {
 	c := surfacecode.MustNew(15, surfacecode.CoreLShape)
 	nm := surfacecode.UniformNoise(c, 0.07, 0.15)
@@ -272,6 +287,36 @@ func TestGrowthAllocatesNothing(t *testing.T) {
 		decode()
 		if allocs := testing.AllocsPerRun(50, decode); allocs != 0 {
 			t.Errorf("%#v: %.1f allocs per frame decode on a warm scratch, want 0", dec, allocs)
+		}
+		for _, kind := range []surfacecode.GraphKind{surfacecode.ZGraph, surfacecode.XGraph} {
+			in := Input{Graph: c.Graph(kind), Syndromes: c.Syndrome(kind, frame), Erased: erased, ErrorProb: probs}
+			cfg := dec.growth()
+			grow := func() {
+				if _, err := growAndPeel(in, cfg, s); err != nil {
+					t.Fatalf("%#v %v: %v", dec, kind, err)
+				}
+			}
+			grow()
+			if allocs := testing.AllocsPerRun(50, grow); allocs != 0 {
+				t.Errorf("%#v %v: %.1f allocs per growAndPeel on a warm scratch, want 0", dec, kind, allocs)
+			}
+		}
+	}
+}
+
+// TestRecordSizes pins the records the growth and peeling loops stream
+// through: growEdge's visit count and forest flag sit in its padding.
+func TestRecordSizes(t *testing.T) {
+	for _, r := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"growEdge", unsafe.Sizeof(growEdge{}), 24},
+		{"growVertex", unsafe.Sizeof(growVertex{}), 36},
+		{"peelVertex", unsafe.Sizeof(peelVertex{}), 20},
+	} {
+		if r.got != r.want {
+			t.Errorf("%s is %d B, want %d", r.name, r.got, r.want)
 		}
 	}
 }

@@ -80,7 +80,7 @@ func newMWPMScratch() *mwpmScratch {
 func fingerprintProbs(in Input) uint64 {
 	h := uint64(0x9e3779b97f4a7c15)
 	for q := range in.ErrorProb {
-		h ^= math.Float64bits(qubitErrProb(in, q))
+		h ^= math.Float64bits(qubitErrProb(&in, q))
 		h *= 0xff51afd7ed558ccd
 		h ^= h >> 33
 	}

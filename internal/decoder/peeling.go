@@ -65,23 +65,15 @@ type peeler struct {
 
 // peel runs the peeling decoder of Delfosse–Zémor on support, dense edge
 // indices of in.Graph (Algorithm 2 line 11): it takes a spanning forest of
-// the support and peels leaves inward, a leaf with a live syndrome putting
-// its edge into the correction and handing the syndrome on. Boundary A roots
-// its tree, and boundary B its own unless A's holds it, so leftover parity
-// drains into the boundary. A boundary-free tree ends wherever its peeling
-// ends; under the cluster invariant (every component holds an even number of
-// syndromes or a boundary vertex) its syndrome count is even, so its
-// correction does not depend on where. peel returns errUnpeelable when the
-// invariant fails. It costs O(|support| + |syndromes|); the correction
-// aliases the scratch.
+// the support with a union-find, in support order, and peelLeaves peels it.
+// It costs O(|support| + |syndromes|); the correction aliases the scratch.
 func peel[E int | int32](in Input, support []E, s *Scratch) ([]int, error) {
 	dg := in.Graph
 	p := &s.peel
 	p.reset(dg.G.NumVertices())
 	vs, ends := p.v, dg.Endpoints
 
-	// Spanning forest in support order. Forest edges are XOR-folded into
-	// their endpoints' links, so a leaf's last edge is its link.
+	// Spanning forest in support order.
 	for _, ei := range support {
 		e := ends[ei]
 		u, v := e[0], e[1]
@@ -98,11 +90,25 @@ func peel[E int | int32](in Input, support []E, s *Scratch) ([]int, error) {
 		if vs[ru].rank == vs[rv].rank {
 			vs[ru].rank++
 		}
-		vs[u].link ^= int32(ei)
-		vs[u].deg++
-		vs[v].link ^= int32(ei)
-		vs[v].deg++
+		p.link(int32(ei), e)
 	}
+	a, b := int32(dg.BoundaryA()), int32(dg.BoundaryB())
+	return p.peelLeaves(in, vs[a].stamp == p.stamp && vs[b].stamp == p.stamp && p.find(a) == p.find(b))
+}
+
+// peelLeaves peels the spanning forest the peeler holds, whose vertices were
+// touched in support order: it peels leaves inward, a leaf with a live
+// syndrome putting its edge into the correction and handing the syndrome on.
+// Boundary A roots its tree, and boundary B its own unless bInA says that
+// A's tree holds it, so leftover parity drains into the boundary. A
+// boundary-free tree ends wherever its peeling ends; under the cluster
+// invariant (every component holds an even number of syndromes or a
+// boundary vertex) its syndrome count is even, so its correction does not
+// depend on where. peelLeaves returns errUnpeelable when the invariant
+// fails.
+func (p *peeler) peelLeaves(in Input, bInA bool) ([]int, error) {
+	dg := in.Graph
+	vs, ends := p.v, dg.Endpoints
 	// A syndrome off the support is a lone odd cluster.
 	for _, v := range in.Syndromes {
 		if vs[v].stamp != p.stamp {
@@ -112,8 +118,7 @@ func peel[E int | int32](in Input, support []E, s *Scratch) ([]int, error) {
 	}
 
 	numReal := int32(dg.NumReal)
-	a, b := int32(dg.BoundaryA()), int32(dg.BoundaryB())
-	bInA := vs[a].stamp == p.stamp && vs[b].stamp == p.stamp && p.find(a) == p.find(b)
+	b := int32(dg.BoundaryB())
 	peelable := func(v int32) bool { return v < numReal || v == b && bInA }
 
 	leaves := p.leaves[:0]
@@ -172,6 +177,16 @@ func (p *peeler) touch(v int32) {
 		p.v[v] = peelVertex{stamp: p.stamp, parent: v}
 		p.touched = append(p.touched, v)
 	}
+}
+
+// link XOR-folds forest edge ei, between e's two touched vertices, into
+// both vertices' links, so a leaf's last edge is its link.
+func (p *peeler) link(ei int32, e [2]int32) {
+	u, v := &p.v[e[0]], &p.v[e[1]]
+	u.link ^= ei
+	u.deg++
+	v.link ^= ei
+	v.deg++
 }
 
 // find returns the union-find root of a touched vertex, halving its path.

@@ -26,9 +26,7 @@ type Scratch struct {
 	peel peeler
 
 	// Frame harness (decoder.go).
-	parity   []bool
-	zSyn     []int
-	xSyn     []int
+	syn      surfacecode.Syndromes
 	residual quantum.Frame
 
 	// MWPM decode-path cache (mwpm.go, mwpm_cache.go): the fingerprinted
@@ -76,33 +74,4 @@ func growInt32(buf []int32, n int, fill int32) []int32 {
 		buf[i] = fill
 	}
 	return buf
-}
-
-// syndrome computes the flipped-parity real vertices of the kind graph for
-// frame f — the same quantity as surfacecode.Code.Syndrome — appending into
-// out[:0] and reusing the arena's parity buffer.
-func (s *Scratch) syndrome(c *surfacecode.Code, kind surfacecode.GraphKind, f quantum.Frame, out []int) []int {
-	dg := c.Graph(kind)
-	s.parity = growBools(s.parity, dg.NumReal)
-	parity := s.parity
-	for q, p := range f {
-		triggers := (kind == surfacecode.ZGraph && p.HasX()) || (kind == surfacecode.XGraph && p.HasZ())
-		if !triggers {
-			continue
-		}
-		e := dg.G.Edge(q)
-		if e.U < dg.NumReal {
-			parity[e.U] = !parity[e.U]
-		}
-		if e.V < dg.NumReal {
-			parity[e.V] = !parity[e.V]
-		}
-	}
-	out = out[:0]
-	for v, on := range parity {
-		if on {
-			out = append(out, v)
-		}
-	}
-	return out
 }

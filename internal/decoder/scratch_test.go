@@ -10,30 +10,6 @@ import (
 	"surfnet/internal/surfacecode"
 )
 
-// TestScratchSyndromeMatchesCode checks the arena's syndrome fast path
-// against the reference surfacecode.Code.Syndrome on random frames.
-func TestScratchSyndromeMatchesCode(t *testing.T) {
-	code := surfacecode.MustNew(7, surfacecode.CoreLShape)
-	nm := surfacecode.UniformNoise(code, 0.15, 0.15)
-	src := rng.New(11)
-	s := NewScratch()
-	for trial := 0; trial < 50; trial++ {
-		frame, _ := nm.Sample(src.SplitN("t", trial))
-		for _, kind := range []surfacecode.GraphKind{surfacecode.ZGraph, surfacecode.XGraph} {
-			want := code.Syndrome(kind, frame)
-			got := s.syndrome(code, kind, frame, nil)
-			if len(got) != len(want) {
-				t.Fatalf("trial %d kind %v: %d syndromes, want %d", trial, kind, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("trial %d kind %v: syndrome %v, want %v", trial, kind, got, want)
-				}
-			}
-		}
-	}
-}
-
 // TestDecodeFrameWithMatchesAllocatingPath checks that DecodeFrame with one
 // reused arena produces byte-identical decode results to the allocating
 // path, a fresh arena per call (s == nil), across every decoder, for a long

@@ -34,14 +34,17 @@ func (d UnionFind) DecodeWith(in Input, s *Scratch) ([]int, error) {
 // edge per round, and erasures are pre-grown.
 func (UnionFind) growth() growthConfig {
 	return growthConfig{
-		speed:           func(Input, int) float64 { return 0.5 },
+		speed:           func(float64) float64 { return 0.5 },
 		preGrowErasures: true,
 	}
 }
 
 // growAndPeel is the body of UnionFind.DecodeWith and SurfNet.DecodeWith,
 // which differ only in their growth rule: cluster growth under cfg, then
-// peeling of the grown support.
+// peeling of the grown support. Growth's fusions already found the
+// support's spanning forest, so the peeler takes the forest edges in
+// support order, and whether the boundaries share a tree from the cluster
+// labels, instead of running its union-find.
 func growAndPeel(in Input, cfg growthConfig, s *Scratch) ([]int, error) {
 	if err := in.validate(); err != nil {
 		return nil, err
@@ -56,7 +59,17 @@ func growAndPeel(in Input, cfg growthConfig, s *Scratch) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	return peel(in, support, s)
+	dg, g, p := in.Graph, &s.grow, &s.peel
+	p.reset(dg.G.NumVertices())
+	for _, ei := range support {
+		if g.e[ei].forest {
+			e := dg.Endpoints[ei]
+			p.touch(e[0])
+			p.touch(e[1])
+			p.link(int32(ei), e)
+		}
+	}
+	return p.peelLeaves(in, g.sameCluster(int32(dg.BoundaryA()), int32(dg.BoundaryB())))
 }
 
 // SurfNet is the SurfNet Decoder of Algorithm 2: cluster growth at
@@ -110,9 +123,7 @@ func (d SurfNet) growth() growthConfig {
 		r = DefaultStepSize
 	}
 	return growthConfig{
-		speed: func(in Input, q int) float64 {
-			return quantum.GrowthSpeed(1-qubitErrProb(in, q), r)
-		},
+		speed:           func(p float64) float64 { return quantum.GrowthSpeed(1-p, r) },
 		preGrowErasures: !d.FiniteErasureGrowth,
 	}
 }

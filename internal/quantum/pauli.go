@@ -16,8 +16,8 @@ import "fmt"
 // explicit.
 type Pauli uint8
 
-// The four Pauli operators. Values are chosen so that the X component is bit 0
-// and the Z component is bit 1, making composition a XOR.
+// The four Pauli operators. p-1 packs p's symplectic bits, the X component
+// in bit 0 and the Z component in bit 1, so composition is a XOR on p-1.
 const (
 	I Pauli = 1 + iota // identity
 	X                  // bit flip
@@ -25,41 +25,32 @@ const (
 	Y                  // both (Y = iXZ, phase ignored)
 )
 
-// bits maps a Pauli to its (x, z) symplectic bits.
+// bits returns p's (x, z) symplectic bits: p-1 split into bit 0 and bit 1.
+// It panics on an undefined value.
 func (p Pauli) bits() (x, z uint8) {
-	switch p {
-	case I:
-		return 0, 0
-	case X:
-		return 1, 0
-	case Z:
-		return 0, 1
-	case Y:
-		return 1, 1
-	default:
-		panic(fmt.Sprintf("quantum: invalid Pauli %d", uint8(p)))
+	if !p.Valid() {
+		panic(invalidPauli(p))
 	}
+	b := uint8(p - I)
+	return b & 1, b >> 1
 }
 
-// fromBits maps symplectic bits back to a Pauli.
-func fromBits(x, z uint8) Pauli {
-	switch {
-	case x == 0 && z == 0:
-		return I
-	case x == 1 && z == 0:
-		return X
-	case x == 0 && z == 1:
-		return Z
-	default:
-		return Y
-	}
-}
+// invalidPauli is the panic value of an operation on an undefined Pauli. It
+// formats its message only when printed: a fmt.Sprintf call in bits would
+// keep bits from being inlined into the syndrome pass.
+type invalidPauli uint8
+
+func (p invalidPauli) Error() string { return fmt.Sprintf("quantum: invalid Pauli %d", uint8(p)) }
 
 // Mul composes two Paulis (up to global phase): Mul(X, Z) == Y.
 func (p Pauli) Mul(q Pauli) Pauli {
-	px, pz := p.bits()
-	qx, qz := q.bits()
-	return fromBits(px^qx, pz^qz)
+	if !p.Valid() {
+		panic(invalidPauli(p))
+	}
+	if !q.Valid() {
+		panic(invalidPauli(q))
+	}
+	return ((p - I) ^ (q - I)) + I
 }
 
 // HasX reports whether the operator contains an X component (X or Y), i.e.
@@ -81,7 +72,7 @@ func (p Pauli) HasZ() bool {
 func (p Pauli) Commutes(q Pauli) bool {
 	px, pz := p.bits()
 	qx, qz := q.bits()
-	return (px*qz+pz*qx)%2 == 0
+	return px&qz^pz&qx == 0
 }
 
 // IsIdentity reports whether p is the identity.

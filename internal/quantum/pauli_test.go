@@ -163,3 +163,48 @@ func TestFrameCloneIsIndependent(t *testing.T) {
 		t.Fatal("Clone shares storage with original")
 	}
 }
+
+// TestSymplecticTable checks Mul, Commutes, HasX and HasZ on all 4 × 4 pairs
+// against the symplectic picture: X = (1, 0), Z = (0, 1), Y = (1, 1),
+// composition adds the bit pairs mod 2, and two Paulis commute when
+// x_p·z_q + z_p·x_q is even. Undefined values 0, 5 and 255 panic in every
+// one of them.
+func TestSymplecticTable(t *testing.T) {
+	sym := map[Pauli][2]int{I: {0, 0}, X: {1, 0}, Z: {0, 1}, Y: {1, 1}}
+	of := map[[2]int]Pauli{}
+	for p, b := range sym {
+		of[b] = p
+	}
+	for p, pb := range sym {
+		if p.HasX() != (pb[0] == 1) || p.HasZ() != (pb[1] == 1) {
+			t.Errorf("%v: HasX %v HasZ %v, bits %v", p, p.HasX(), p.HasZ(), pb)
+		}
+		for q, qb := range sym {
+			if want := of[[2]int{pb[0] ^ qb[0], pb[1] ^ qb[1]}]; p.Mul(q) != want {
+				t.Errorf("%v.Mul(%v) = %v, want %v", p, q, p.Mul(q), want)
+			}
+			if want := (pb[0]*qb[1]+pb[1]*qb[0])%2 == 0; p.Commutes(q) != want {
+				t.Errorf("%v.Commutes(%v) = %v, want %v", p, q, p.Commutes(q), want)
+			}
+		}
+	}
+	for _, bad := range []Pauli{0, 5, 255} {
+		for name, op := range map[string]func(){
+			"Mul":              func() { bad.Mul(X) },
+			"Mul operand":      func() { X.Mul(bad) },
+			"Commutes":         func() { bad.Commutes(X) },
+			"Commutes operand": func() { X.Commutes(bad) },
+			"HasX":             func() { bad.HasX() },
+			"HasZ":             func() { bad.HasZ() },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s on Pauli(%d) did not panic", name, uint8(bad))
+					}
+				}()
+				op()
+			}()
+		}
+	}
+}

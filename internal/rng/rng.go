@@ -17,17 +17,21 @@ import (
 // Source is a deterministic random stream. It wraps the stdlib PCG generator
 // and adds labeled splitting. A Source is not safe for concurrent use; split
 // one child per goroutine instead.
+//
+// Float64, Uint64, Bool and Range draw from the PCG directly, with the
+// arithmetic of the rand.Rand built on it, so they skip the Rand's interface
+// call and draw exactly the Rand's stream; IntN, Perm and Shuffle go through
+// the Rand. Both fields are pointers, so a copied Source shares its state.
 type Source struct {
 	seed uint64
-	rand *rand.Rand
+	pcg  *rand.PCG
+	rand *rand.Rand // wraps pcg
 }
 
 // New returns a Source rooted at seed.
 func New(seed uint64) *Source {
-	return &Source{
-		seed: seed,
-		rand: rand.New(rand.NewPCG(seed, mix(seed))),
-	}
+	pcg := rand.NewPCG(seed, mix(seed))
+	return &Source{seed: seed, pcg: pcg, rand: rand.New(pcg)}
 }
 
 // Split derives an independent child stream identified by label. Children
@@ -61,14 +65,15 @@ func (s *Source) SplitN(label string, n int) *Source {
 // Seed reports the seed this Source was rooted at.
 func (s *Source) Seed() uint64 { return s.seed }
 
-// Float64 returns a uniform value in [0, 1).
-func (s *Source) Float64() float64 { return s.rand.Float64() }
+// Float64 returns a uniform value in [0, 1): rand.Rand.Float64's 53 low bits
+// of one draw.
+func (s *Source) Float64() float64 { return float64(s.pcg.Uint64()<<11>>11) / (1 << 53) }
 
 // IntN returns a uniform value in [0, n). It panics if n <= 0.
 func (s *Source) IntN(n int) int { return s.rand.IntN(n) }
 
 // Uint64 returns a uniform 64-bit value.
-func (s *Source) Uint64() uint64 { return s.rand.Uint64() }
+func (s *Source) Uint64() uint64 { return s.pcg.Uint64() }
 
 // Bool returns true with probability p.
 func (s *Source) Bool(p float64) bool {
@@ -78,12 +83,12 @@ func (s *Source) Bool(p float64) bool {
 	if p >= 1 {
 		return true
 	}
-	return s.rand.Float64() < p
+	return s.Float64() < p
 }
 
 // Range returns a uniform value in [lo, hi).
 func (s *Source) Range(lo, hi float64) float64 {
-	return lo + (hi-lo)*s.rand.Float64()
+	return lo + (hi-lo)*s.Float64()
 }
 
 // Perm returns a random permutation of [0, n).

@@ -362,34 +362,84 @@ func (c *Code) buildCore(layout CoreLayout) error {
 }
 
 // Syndrome extracts the syndrome of error frame f on the requested decoding
-// graph: the list of real measurement vertices whose parity flipped. The
-// frame must cover all data qubits.
+// graph: the list of real measurement vertices whose parity flipped, in
+// ascending order. The frame must cover all data qubits. It runs
+// SyndromesInto's pass on a fresh buffer and lists the one graph.
 func (c *Code) Syndrome(kind GraphKind, f quantum.Frame) []int {
+	var s Syndromes
+	zPar, xPar := c.parities(f, &s)
+	if kind == ZGraph {
+		return flipped(zPar, nil)
+	}
+	return flipped(xPar, nil)
+}
+
+// Syndromes holds the syndromes of one frame on both decoding graphs, and
+// the parity buffer SyndromesInto computes them in. The zero value is ready
+// to use; reused, it stops allocating once its buffers have grown.
+type Syndromes struct {
+	// Z and X list the flipped real vertices of the Z-graph and the
+	// X-graph, ascending.
+	Z, X   []int
+	parity []uint8
+}
+
+// SyndromesInto computes the syndromes of frame f on both decoding graphs
+// in one pass, into s: each qubit's X bit flips the parity of its Z-graph
+// endpoints and its Z bit that of its X-graph endpoints, with no branch on
+// the frame. The virtual boundary vertices take flips too but are never
+// listed. It panics when f does not cover every data qubit exactly.
+func (c *Code) SyndromesInto(f quantum.Frame, s *Syndromes) {
+	zPar, xPar := c.parities(f, s)
+	s.Z = flipped(zPar, s.Z)
+	s.X = flipped(xPar, s.X)
+}
+
+// parities is SyndromesInto's pass: it returns the parity of every real
+// vertex of the Z-graph and of the X-graph, in s's buffer, which holds the
+// boundary vertices too so that no endpoint needs a test.
+func (c *Code) parities(f quantum.Frame, s *Syndromes) (zPar, xPar []uint8) {
 	if len(f) != len(c.data) {
 		panic(fmt.Sprintf("surfacecode: frame covers %d qubits, code has %d", len(f), len(c.data)))
 	}
-	dg := c.Graph(kind)
-	parity := make([]bool, dg.NumReal)
+	zEnds, xEnds := c.zg.Endpoints, c.xg.Endpoints
+	zNV := c.zg.G.NumVertices()
+	n := zNV + c.xg.G.NumVertices()
+	if cap(s.parity) < n {
+		s.parity = make([]uint8, n)
+	}
+	par := s.parity[:n]
+	clear(par)
+	zPar, xPar = par[:zNV], par[zNV:]
+	zEnds, xEnds = zEnds[:len(f)], xEnds[:len(f)]
 	for q, p := range f {
-		triggers := (kind == ZGraph && p.HasX()) || (kind == XGraph && p.HasZ())
-		if !triggers {
-			continue
-		}
-		e := dg.G.Edge(q)
-		if e.U < dg.NumReal {
-			parity[e.U] = !parity[e.U]
-		}
-		if e.V < dg.NumReal {
-			parity[e.V] = !parity[e.V]
+		x, z := bit(p.HasX()), bit(p.HasZ())
+		ze, xe := zEnds[q], xEnds[q]
+		zPar[ze[0]] ^= x
+		zPar[ze[1]] ^= x
+		xPar[xe[0]] ^= z
+		xPar[xe[1]] ^= z
+	}
+	return zPar[:c.zg.NumReal], xPar[:c.xg.NumReal]
+}
+
+// bit converts b to 0 or 1.
+func bit(b bool) uint8 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// flipped appends to out[:0] the vertices whose parity is odd.
+func flipped(par []uint8, out []int) []int {
+	out = out[:0]
+	for v, odd := range par {
+		if odd != 0 {
+			out = append(out, v)
 		}
 	}
-	var syn []int
-	for v, on := range parity {
-		if on {
-			syn = append(syn, v)
-		}
-	}
-	return syn
+	return out
 }
 
 // HasLogicalError reports whether a syndrome-free residual frame carries a

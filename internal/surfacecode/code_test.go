@@ -334,3 +334,68 @@ func TestIncidentListsMatchEdges(t *testing.T) {
 		}
 	}
 }
+
+// refSyndrome is the per-qubit syndrome reference: every qubit whose Pauli
+// has the graph's component flips both ends of its edge in G, and the
+// flipped real vertices are listed in ascending order.
+func refSyndrome(c *Code, kind GraphKind, f quantum.Frame) []int {
+	dg := c.Graph(kind)
+	parity := make([]bool, dg.G.NumVertices())
+	for q, p := range f {
+		if kind == ZGraph && p.HasX() || kind == XGraph && p.HasZ() {
+			e := dg.G.Edge(q)
+			parity[e.U], parity[e.V] = !parity[e.U], !parity[e.V]
+		}
+	}
+	var syn []int
+	for v := 0; v < dg.NumReal; v++ {
+		if parity[v] {
+			syn = append(syn, v)
+		}
+	}
+	return syn
+}
+
+// TestSyndromesIntoMatchesPerQubit checks the two-graph syndrome kernel
+// against refSyndrome on random frames with X, Y and Z entries and erased
+// ones: d from 2 to 9 in both Core layouts, both graphs, on one reused
+// Syndromes that codes of every size regrow and reuse in turn. Code.Syndrome
+// must agree too.
+func TestSyndromesIntoMatchesPerQubit(t *testing.T) {
+	src := rng.New(11)
+	var s Syndromes
+	ys, erasures := 0, 0
+	for trial := 0; trial < 12; trial++ {
+		for d := 2; d <= 9; d++ {
+			for _, layout := range []CoreLayout{CoreLShape, CoreDiagonal} {
+				c := MustNew(d, layout)
+				frame, erased := UniformNoise(c, 0.15, 0.2).Sample(src.SplitN("t", trial*100+d))
+				for q, p := range frame {
+					if p == quantum.Y {
+						ys++
+					}
+					if erased[q] {
+						erasures++
+					}
+				}
+				c.SyndromesInto(frame, &s)
+				for _, kind := range []GraphKind{ZGraph, XGraph} {
+					got := s.Z
+					if kind == XGraph {
+						got = s.X
+					}
+					want := refSyndrome(c, kind, frame)
+					if !slices.Equal(got, want) {
+						t.Fatalf("trial %d d=%d %v %v: SyndromesInto %v, per-qubit %v", trial, d, layout, kind, got, want)
+					}
+					if one := c.Syndrome(kind, frame); !slices.Equal(one, want) {
+						t.Fatalf("trial %d d=%d %v %v: Syndrome %v, per-qubit %v", trial, d, layout, kind, one, want)
+					}
+				}
+			}
+		}
+	}
+	if ys == 0 || erasures == 0 {
+		t.Fatalf("frames drew %d Y entries and %d erasures; want both", ys, erasures)
+	}
+}
